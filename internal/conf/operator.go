@@ -14,7 +14,12 @@ import (
 // Options tunes the operator's secondary-storage behaviour and its parallel
 // execution.
 type Options struct {
-	SortBudget int    // tuples held in memory per sort; 0 = default
+	// SortBudget is the number of tuples an external sort holds in memory
+	// before it spills a sorted run; 0 = storage.DefaultSortBudget. With no
+	// governor and SortBudget <= 0, sort+scan passes sort the materialized
+	// input in memory and never spill; a positive budget or a governor
+	// selects the external sort.
+	SortBudget int
 	TmpDir     string // spill directory; "" = os.TempDir()
 	// Pool drives the partition-parallel aggregation scans: the input is
 	// hash-partitioned by group key, each partition sorted and scanned by a
@@ -186,11 +191,23 @@ func representative(s signature.Sig) string {
 	return st.Table
 }
 
-// sortedScan sorts rel by keyCols (external sort) and streams it to emit,
-// checking the context once per batch of scanBatchSize tuples on both the
-// feeding and the draining side. Error paths discard any spilled runs.
+// sortsInMemory reports whether sort+scan passes sort in memory
+// (memSortedScan): no governor and no explicit sort budget. Every other
+// sort goes through storage.ExternalSorter.
+func (o Options) sortsInMemory() bool { return o.Mem == nil && o.SortBudget <= 0 }
+
+// sortedScan sorts rel by keyCols and streams it to emit, checking the
+// context once per batch of scanBatchSize tuples. An ungoverned sort with no
+// explicit budget sorts in memory and emits rel's own rows; otherwise an
+// external sort runs, spilling sorted runs once its buffer passes the
+// budget (or earlier, when the governor denies growth), and its emitted
+// tuples are valid only for the emit call. Error paths discard any spilled
+// runs.
 func sortedScan(rel *table.Relation, keyCols []int, opts Options, emit func(table.Tuple) error) (spills int, err error) {
 	ctx := opts.ctx()
+	if opts.sortsInMemory() {
+		return 0, memSortedScan(ctx, rel, keyCols, emit)
+	}
 	sorter := storage.NewExternalSorter(func(a, b table.Tuple) int {
 		return table.CompareOn(a, b, keyCols)
 	}, opts.SortBudget, opts.TmpDir)
@@ -284,10 +301,16 @@ func mergeByKey(parts []*table.Relation, keyCols []int, schema *table.Schema) *t
 // sortCols, walk it group by group (groups are contiguous on groupCols), run
 // the one-scan algorithm of rt within each group, and append one output row
 // per group built from the group's first sorted tuple and its probability.
+// The in-memory sort emits rel's own rows, which are retained as they are;
+// an external sort's are cloned.
 func groupedScan(rel *table.Relation, rt *runtimeTree, groupCols, sortCols []int, opts Options, out *table.Relation, buildRow func(first table.Tuple, p float64) table.Tuple) (int, error) {
 	var prev, first table.Tuple
 	emitGroup := func() {
 		out.Rows = append(out.Rows, buildRow(first, rt.flush()))
+	}
+	retain := table.Tuple.Clone
+	if opts.sortsInMemory() {
+		retain = func(t table.Tuple) table.Tuple { return t }
 	}
 	spills, err := sortedScan(rel, sortCols, opts, func(t table.Tuple) error {
 		if prev != nil && !table.EqualOn(prev, t, groupCols) {
@@ -295,12 +318,12 @@ func groupedScan(rel *table.Relation, rt *runtimeTree, groupCols, sortCols []int
 			prev = nil
 		}
 		if prev == nil {
-			first = t.Clone()
+			first = retain(t)
 			rt.seed(t)
 		} else {
 			rt.step(rt.firstUnmatched(prev, t), t)
 		}
-		prev = t.Clone()
+		prev = retain(t)
 		return nil
 	})
 	if err != nil {

@@ -1,5 +1,5 @@
 // Package conf implements SPROUT's contribution: the secondary-storage
-// operator for exact confidence computation (paper §V). Three cooperating
+// operator for exact confidence computation (paper §V). These cooperating
 // pieces live here:
 //
 //   - the streaming one-scan algorithm over a 1scanTree (Fig. 8), which
@@ -7,7 +7,9 @@
 //     relation into 1OF and evaluates its probability on the fly;
 //   - the multi-scan scheduler (§V.C, Ex. V.11) that aggregates starred
 //     subexpressions of a non-1scan signature until the remainder has the
-//     1scan property, one sort+scan per aggregation;
+//     1scan property, one sort+scan per aggregation — an in-memory sort
+//     unless a governor or an explicit sort budget selects the external,
+//     spilling one (operator.go);
 //   - the literal GRP-sequence semantics of Fig. 5/6 (grp.go), used as a
 //     reference implementation for cross-validation;
 //   - the OBDD operator (obdd.go), which groups the answer relation into
@@ -15,13 +17,17 @@
 //     reduced ordered BDD (internal/obdd): exact confidences whenever the
 //     diagram fits the node budget — signature or not — and certified
 //     deterministic [lo, hi] bounds when it does not;
+//   - the d-tree operator (dtree.go), which decomposes the same per-answer
+//     lineage order-free (internal/dtree): exact where an OBDD explodes
+//     under every variable order, certified bounds past its step budget;
 //   - the Monte Carlo operator (mc.go), which shares the lineage
 //     collection and estimates each confidence with the (ε, δ) samplers
 //     of internal/prob.
 //
 // Together they form the engine's fallback ladder for queries whose exact
 // confidence computation is #P-hard: sort+scan (needs a hierarchical
-// signature) → OBDD-exact under budget → Monte Carlo.
+// signature) → OBDD-exact under budget → d-tree-exact under budget →
+// Monte Carlo.
 package conf
 
 import (

@@ -41,6 +41,10 @@ type ColOperator interface {
 type ColMemScan struct {
 	Rel *table.Relation
 	pos int
+	// need marks the columns some consumer reads (nil = all), exactly as
+	// on ColHeapScan: dead columns are not transposed and their vectors
+	// stay empty. Set by pruneCols.
+	need []bool
 }
 
 // Schema returns the relation's schema.
@@ -56,7 +60,17 @@ func (s *ColMemScan) NextColBatch(dst *table.ColBatch) (int, error) {
 	}
 	dst.Reset(s.Rel.Schema)
 	for s.pos < len(s.Rel.Rows) && dst.N < BatchSize {
-		dst.AppendRow(s.Rel.Rows[s.pos])
+		t := s.Rel.Rows[s.pos]
+		if s.need == nil {
+			dst.AppendRow(t)
+		} else {
+			for c, live := range s.need {
+				if live {
+					dst.Cols[c].AppendValue(dst.N, t[c])
+				}
+			}
+			dst.N++
+		}
 		s.pos++
 	}
 	return dst.N, nil
@@ -524,6 +538,7 @@ func Columnarize(op Operator) (ColOperator, bool) {
 		return &ColHashJoin{
 			Left: l, Right: r,
 			LeftKeys: o.LeftKeys, RightKeys: o.RightKey,
+			Ctx: o.Ctx, Stats: o.Stats,
 			out: o.out,
 		}, true
 	case *PartitionedHashJoin:
@@ -546,12 +561,13 @@ func Columnarize(op Operator) (ColOperator, bool) {
 	}
 }
 
-// pruneCols pushes column liveness down a columnar tree to its heap scans: a
+// pruneCols pushes column liveness down a columnar tree to its scans: a
 // ColProject only reads the input columns its index map names, so any column
 // it drops — net of the filter predicates evaluated below it — need never be
-// decoded off the page. need[i]=true marks output column i as read by the
-// consumer; nil means all are. Joins (and any root consumer) read every
-// column of their inputs, so pruning restarts at nil below them.
+// decoded off the page or transposed out of memory. need[i]=true marks
+// output column i as read by the consumer; nil means all are. Joins (and any
+// root consumer) read every column of their inputs, so pruning restarts at
+// nil below them.
 func pruneCols(op ColOperator, need []bool) {
 	switch o := op.(type) {
 	case *ColCounted:
@@ -576,6 +592,8 @@ func pruneCols(op ColOperator, need []bool) {
 		}
 		pruneCols(o.In, childNeed)
 	case *ColHeapScan:
+		o.need = need
+	case *ColMemScan:
 		o.need = need
 	case *ColHashJoin:
 		pruneCols(o.Left, nil)
@@ -621,6 +639,7 @@ func Vectorize(op Operator) (Operator, bool) {
 			j, err := NewHashJoin(l, r, o.LeftKeys, o.RightKey)
 			if err == nil {
 				j.Mem, j.SortBudget, j.TmpDir = o.Mem, o.SortBudget, o.TmpDir
+				j.Ctx, j.Stats = o.Ctx, o.Stats
 				return j, true
 			}
 		}

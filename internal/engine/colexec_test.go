@@ -38,25 +38,7 @@ func colTestRel(rows, strCard int, seed int64) *table.Relation {
 // writeHeap persists rel as a heap file and reopens it read-only.
 func writeHeap(t *testing.T, dir string, rel *table.Relation) *storage.HeapFile {
 	t.Helper()
-	path := filepath.Join(dir, "t.heap")
-	h, err := storage.CreateHeapFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range rel.Rows {
-		if err := h.Append(row); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := h.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ro, err := storage.OpenHeapFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ro.Close() })
-	return ro
+	return writeHeapAt(t, filepath.Join(dir, "t.heap"), rel)
 }
 
 func mustSameRelations(t *testing.T, label string, got, want *table.Relation) {
@@ -220,50 +202,78 @@ func TestVectorizePartialLowering(t *testing.T) {
 }
 
 // TestPruneColsLiveness: pruning marks exactly the projected columns plus
-// the filter's predicate columns live at the scan, and the pruned pipeline
-// still produces the right projected rows.
+// the filter's predicate columns live at the scan — a heap scan's decode and
+// a memory scan's transposition alike — and the pruned pipeline still
+// produces the right projected rows.
 func TestPruneColsLiveness(t *testing.T) {
 	rel := colTestRel(1200, 18, 33)
 	h := writeHeap(t, t.TempDir(), rel)
 	pool := storage.NewBufferPool(8)
 	names := rel.Schema.Names()
-	build := func() Operator {
-		f := NewFilter(NewHeapScan(h, pool, rel.Schema),
-			Cmp{L: ColRef{Idx: 1, Name: "x"}, Op: OpLt, R: Const{V: table.Float(50)}})
-		p, err := NewColumnProject(f, []string{names[2], names[4]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
+	sources := []struct {
+		name string
+		mk   func() Operator
+		need func(ColOperator) []bool
+	}{
+		{"heap", func() Operator { return NewHeapScan(h, pool, rel.Schema) },
+			func(op ColOperator) []bool { return op.(*ColHeapScan).need }},
+		{"mem", func() Operator { return NewMemScan(rel) },
+			func(op ColOperator) []bool { return op.(*ColMemScan).need }},
 	}
-	cop, ok := Columnarize(build())
-	if !ok {
-		t.Fatal("tree did not columnarize")
+	for _, src := range sources {
+		t.Run(src.name, func(t *testing.T) {
+			build := func() Operator {
+				f := NewFilter(src.mk(),
+					Cmp{L: ColRef{Idx: 1, Name: "x"}, Op: OpLt, R: Const{V: table.Float(50)}})
+				p, err := NewColumnProject(f, []string{names[2], names[4]})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p
+			}
+			cop, ok := Columnarize(build())
+			if !ok {
+				t.Fatal("tree did not columnarize")
+			}
+			pruneCols(cop, nil)
+			scan := cop.(*ColProject).In.(*ColFilter).In
+			need := src.need(scan)
+			// Live: s (projected), P (projected), x (predicate). Dead: k, V.
+			wantNeed := []bool{false, true, true, false, true}
+			if len(need) != len(wantNeed) {
+				t.Fatalf("need has %d entries, want %d", len(need), len(wantNeed))
+			}
+			for i, w := range wantNeed {
+				if need[i] != w {
+					t.Fatalf("need[%d] = %v, want %v (%s)", i, need[i], w, names[i])
+				}
+			}
+			// Dead columns are never built: their vectors stay empty.
+			if err := scan.Open(); err != nil {
+				t.Fatal(err)
+			}
+			b := table.NewColBatch(rel.Schema)
+			if n, err := scan.NextColBatch(b); err != nil || n == 0 {
+				t.Fatalf("scan batch: %d rows, %v", n, err)
+			}
+			if len(b.Cols[0].Ints)+len(b.Cols[3].Ints) != 0 {
+				t.Fatal("pruned columns were built anyway")
+			}
+			scan.Close()
+			got, err := CollectColCtx(nil, cop)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := CollectCtx(nil, build())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Len() == 0 {
+				t.Fatal("reference produced no rows")
+			}
+			mustSameRelations(t, "pruned", got, want)
+		})
 	}
-	pruneCols(cop, nil)
-	scan := cop.(*ColProject).In.(*ColFilter).In.(*ColHeapScan)
-	// Live: s (projected), P (projected), x (predicate). Dead: k, V.
-	wantNeed := []bool{false, true, true, false, true}
-	if len(scan.need) != len(wantNeed) {
-		t.Fatalf("need has %d entries, want %d", len(scan.need), len(wantNeed))
-	}
-	for i, w := range wantNeed {
-		if scan.need[i] != w {
-			t.Fatalf("need[%d] = %v, want %v (%s)", i, scan.need[i], w, names[i])
-		}
-	}
-	got, err := CollectColCtx(nil, cop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := CollectCtx(nil, build())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Len() == 0 {
-		t.Fatal("reference produced no rows")
-	}
-	mustSameRelations(t, "pruned", got, want)
 }
 
 // TestColFilterAllocs pins the vectorized filter loop: narrowing the

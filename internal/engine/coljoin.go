@@ -11,20 +11,32 @@ import (
 // with ColBatch.HashInto — the vectorized form of table.HashOn, bit-identical
 // per row — and share TupleMap with the row engine, so a columnar build side
 // holds exactly the groups a row build would and emits matches in the same
-// order (probe rows in scan order, First then Rest per group). That order
-// identity is what keeps confidences pinned across the two tiers.
+// order (probe rows in probe-input order, First then Rest per group). The
+// serial ColHashJoin picks its build side with the row join's rule
+// (raceInputs), so the two tiers also agree on which input is probed. That
+// order identity is what keeps confidences pinned across the two tiers.
 
-// ColHashJoin is the columnar equi-join: the right input is drained into a
-// TupleMap (rows materialized from its column batches), and left batches
-// probe it with vectorized hashes. Output rows gather left cells column-wise
-// (ColVec.AppendCell — typed, allocation-free) and append the matched build
-// tuples' cells. One output batch carries all matches of one probe batch, so
-// it may exceed BatchSize on multi-matching keys.
+// ColHashJoin is the columnar equi-join. Open races the inputs with the row
+// HashJoin's rule — build on the left iff |L| < |R|, ties keeping the right
+// — buffering deep copies of the batches it pulls, and drains the chosen
+// side into a TupleMap (rows materialized from its column batches). The
+// other side's batches then probe it with vectorized hashes, the buffered
+// prefix first. Output rows are left ++ right: probe cells are gathered
+// column-wise (ColVec.AppendCell — typed, allocation-free) and the matched
+// build tuples' cells appended on their side. One output batch carries all
+// matches of one probe batch, so it may exceed BatchSize on multi-matching
+// keys.
 type ColHashJoin struct {
 	Left, Right         ColOperator
 	LeftKeys, RightKeys []int
+	Ctx                 context.Context // optional: checked at every batch boundary of Open's input race
+	Stats               *JoinStats      // optional: receives the build side Open chose
 	out                 *table.Schema
 	built               *table.TupleMap
+	buildLeft           bool // the table holds the left input, the right probes it
+	probe               ColOperator
+	probeKeys           []int
+	pending             []*table.ColBatch // buffered probe prefix, consumed first
 	in                  *table.ColBatch
 	hashes              []uint64
 }
@@ -32,77 +44,142 @@ type ColHashJoin struct {
 // Schema returns left ++ right.
 func (j *ColHashJoin) Schema() *table.Schema { return j.out }
 
-// Open opens both inputs and builds the hash table over the right.
+// Open opens both inputs, races them for the build side, and builds the
+// hash table. Like every engine Open, a failure leaves the join fully
+// closed, children included.
 func (j *ColHashJoin) Open() error {
 	if err := j.Left.Open(); err != nil {
 		return err
 	}
 	if err := j.Right.Open(); err != nil {
+		j.Left.Close()
 		return err
 	}
-	built, err := colBuild(j.Right, j.RightKeys)
-	if err != nil {
+	if err := j.openRaced(); err != nil {
+		j.Left.Close()
+		j.Right.Close()
 		return err
-	}
-	j.built = built
-	if j.in == nil {
-		j.in = table.NewColBatch(j.Left.Schema())
 	}
 	return nil
 }
 
-// colBuild drains a columnar operator into a TupleMap keyed on the given
-// columns: each batch is hashed in one vectorized pass, then its live rows
-// are materialized into slab storage and inserted under the precomputed
-// hashes. Insertion order matches the row build (scan order), so the map's
-// group order — and therefore the join's output order — is identical.
-func colBuild(op ColOperator, keys []int) (*table.TupleMap, error) {
-	// The map deliberately starts empty, as the row buildSide does:
-	// presizing by row count over-allocates heavily on repeated join keys.
+// openRaced is HashJoin.openRaced for column batches: each pulled batch is
+// buffered as a compacted deep copy (producers reuse batch storage and
+// string dictionaries), the chosen side is built, and the other side's
+// copies become the probe prefix.
+func (j *ColHashJoin) openRaced() error {
+	ops := [2]ColOperator{j.Left, j.Right}
+	var bufs [2][]*table.ColBatch
+	var pull [2]func() (int, error)
+	for side := range pull {
+		op := ops[side]
+		scratch := table.NewColBatch(op.Schema())
+		pull[side] = func() (int, error) {
+			n, err := op.NextColBatch(scratch)
+			if n > 0 && err == nil {
+				bufs[side] = append(bufs[side], copyColBatch(scratch))
+			}
+			return n, err
+		}
+	}
+	buildLeft, err := raceInputs(j.Ctx, pull)
+	if err != nil {
+		return err
+	}
+	b, p := 1, 0
+	j.probe, j.probeKeys = j.Left, j.LeftKeys
+	buildKeys := j.RightKeys
+	if buildLeft {
+		b, p = 0, 1
+		j.probe, j.probeKeys = j.Right, j.RightKeys
+		buildKeys = j.LeftKeys
+	}
+	j.built, j.buildLeft = colBuild(bufs[b], buildKeys), buildLeft
+	j.pending = bufs[p]
+	if j.in == nil || j.in.Schema != j.probe.Schema() {
+		j.in = table.NewColBatch(j.probe.Schema())
+	}
+	if j.Stats != nil {
+		rows := 0
+		for _, bb := range bufs[b] {
+			rows += bb.N
+		}
+		j.Stats.BuildLeft, j.Stats.BuildRows = buildLeft, int64(rows)
+	}
+	return nil
+}
+
+// copyColBatch deep-copies the live rows of b into a fresh batch with no
+// selection vector. AppendCell copies typed cells and flat string bytes and
+// keeps dictionary cells as their immutable strings, so nothing aliases the
+// producer's reused column storage or dictionary.
+func copyColBatch(b *table.ColBatch) *table.ColBatch {
+	c := table.NewColBatch(b.Schema)
+	n := b.Rows()
+	for i := 0; i < n; i++ {
+		row := b.RowID(i)
+		for k := range b.Cols {
+			c.Cols[k].AppendCell(c.N, &b.Cols[k], row)
+		}
+		c.N++
+	}
+	return c
+}
+
+// colBuild materializes buffered column batches into a TupleMap keyed on
+// the given columns: each batch is hashed in one vectorized pass, then its
+// rows are materialized into slab storage and inserted under the
+// precomputed hashes. Insertion order matches the row build (input order),
+// so the map's group order — and therefore the join's output order — is
+// identical.
+func colBuild(batches []*table.ColBatch, keys []int) *table.TupleMap {
+	// The map deliberately starts empty, as the row build does: presizing
+	// by row count over-allocates heavily on repeated join keys.
 	built := table.NewTupleMap(keys, 0)
-	b := table.NewColBatch(op.Schema())
-	w := op.Schema().Len()
 	var slab table.Slab
 	var hashes []uint64
-	for {
-		n, err := op.NextColBatch(b)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return built, nil
-		}
+	for _, b := range batches {
+		w := b.Schema.Len()
 		hashes = b.HashInto(keys, hashes)
-		for i := 0; i < n; i++ {
+		for i := 0; i < b.N; i++ {
 			t := slab.Alloc(w)
 			b.WriteRow(i, t)
 			built.AddHashed(hashes[i], t)
 		}
 	}
+	return built
 }
 
-// NextColBatch probes with the next left batch, emitting every match.
+// NextColBatch probes with the next probe batch — the buffered prefix
+// first, then the probe input — emitting every match.
 func (j *ColHashJoin) NextColBatch(dst *table.ColBatch) (int, error) {
 	for {
-		n, err := j.Left.NextColBatch(j.in)
-		if err != nil {
-			return 0, err
+		in := j.in
+		if len(j.pending) > 0 {
+			in = j.pending[0]
+			j.pending[0] = nil
+			j.pending = j.pending[1:]
+		} else {
+			n, err := j.probe.NextColBatch(in)
+			if err != nil {
+				return 0, err
+			}
+			if n == 0 {
+				return 0, nil
+			}
 		}
-		if n == 0 {
-			return 0, nil
-		}
-		j.hashes = j.in.HashInto(j.LeftKeys, j.hashes)
+		n := in.Rows()
+		j.hashes = in.HashInto(j.probeKeys, j.hashes)
 		dst.Reset(j.out)
-		lw := j.in.Schema.Len()
 		for i := 0; i < n; i++ {
-			row := j.in.RowID(i)
-			g, ok := j.built.LookupHashedCols(j.hashes[i], j.in, j.LeftKeys, row)
+			row := in.RowID(i)
+			g, ok := j.built.LookupHashedCols(j.hashes[i], in, j.probeKeys, row)
 			if !ok {
 				continue
 			}
-			j.emit(dst, row, lw, g.First)
+			j.emit(dst, in, row, g.First)
 			for _, r := range g.Rest {
-				j.emit(dst, row, lw, r)
+				j.emit(dst, in, row, r)
 			}
 		}
 		if dst.N > 0 {
@@ -111,21 +188,27 @@ func (j *ColHashJoin) NextColBatch(dst *table.ColBatch) (int, error) {
 	}
 }
 
-// emit appends one joined row: left cells gathered column-wise from the
-// probe batch, right cells from the stored build tuple.
-func (j *ColHashJoin) emit(dst *table.ColBatch, row, lw int, r table.Tuple) {
-	for c := 0; c < lw; c++ {
-		dst.Cols[c].AppendCell(dst.N, &j.in.Cols[c], row)
+// emit appends one joined row: the probe row's cells gathered column-wise
+// from its batch, the matched build tuple's cells from storage, each on its
+// own side of the left ++ right layout.
+func (j *ColHashJoin) emit(dst, in *table.ColBatch, row int, m table.Tuple) {
+	probeOff, buildOff := 0, len(in.Cols)
+	if j.buildLeft {
+		probeOff, buildOff = len(m), 0
 	}
-	for k, v := range r {
-		dst.Cols[lw+k].AppendValue(dst.N, v)
+	for c := range in.Cols {
+		dst.Cols[probeOff+c].AppendCell(dst.N, &in.Cols[c], row)
+	}
+	for k, v := range m {
+		dst.Cols[buildOff+k].AppendValue(dst.N, v)
 	}
 	dst.N++
 }
 
-// Close closes both inputs and drops the hash table.
+// Close closes both inputs and drops the hash table and any unconsumed
+// probe prefix.
 func (j *ColHashJoin) Close() error {
-	j.built = nil
+	j.built, j.pending = nil, nil
 	errL := j.Left.Close()
 	errR := j.Right.Close()
 	if errL != nil {

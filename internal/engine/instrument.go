@@ -57,3 +57,11 @@ func (c *CountedOp) StableTuples() bool { return Stable(c.In) }
 
 // Close closes the input.
 func (c *CountedOp) Close() error { return c.In.Close() }
+
+// JoinStats records the build side a serial hash join (HashJoin,
+// ColHashJoin) chose in Open, for trace attribution. Like OpStats it is
+// written from the pipeline's goroutine and read once the pipeline drained.
+type JoinStats struct {
+	BuildLeft bool  // the hash table was built on the left input
+	BuildRows int64 // rows in the hash table
+}

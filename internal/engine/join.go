@@ -1,57 +1,45 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/fault"
 	"repro/internal/table"
 )
 
-// buildSide drains an operator into a TupleMap keyed on the given columns;
-// tuples are retained, so drainEach's stable/slab clone rule applies.
-func buildSide(op Operator, keys []int) (*table.TupleMap, error) {
-	if ms, ok := op.(*MemScan); ok {
-		// Fast path: the rows are already materialized and stable. The map
-		// deliberately starts empty — presizing by row count over-allocates
-		// heavily on repeated join keys (FK joins) and measures slower.
-		built := table.NewTupleMap(keys, 0)
-		for _, t := range ms.Rel.Rows {
-			built.Add(t)
-		}
-		return built, nil
-	}
-	built := table.NewTupleMap(keys, 0)
-	err := drainEach(op, func(t table.Tuple) error {
-		built.Add(t)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return built, nil
-}
-
-// HashJoin is an equi-join: it builds a hash table on the right input and
-// probes with the left. The build side is keyed by table.HashOn hashes with
-// Compare-based collision chains, so neither building nor probing renders
-// per-row key strings. The output schema is left ++ right; the planner
-// projects away the duplicated join attributes afterwards (the paper assumes
-// join attributes share names across tables).
+// HashJoin is an equi-join: it builds a hash table on one input and probes
+// it with the other. Ungoverned, Open builds on the input with fewer rows —
+// the left iff |L| < |R|, ties keeping the right — found by pulling both
+// inputs in turn (raceInputs). Governed, it always builds on the right and
+// may degrade to grace mode (gracejoin.go). The build side is keyed by
+// table.HashOn hashes with Compare-based collision chains, so neither
+// building nor probing renders per-row key strings. The output schema is
+// left ++ right whichever side is built; rows come out in probe-input order,
+// each probe row's matches First then Rest — left-input order for a right
+// build, right-input order for a left build. The planner projects away the
+// duplicated join attributes afterwards (the paper assumes join attributes
+// share names across tables).
 type HashJoin struct {
 	Left, Right        Operator
 	LeftKeys, RightKey []int
 	Mem                *fault.Governor // optional: charge the build side, degrade to grace mode on denial
 	SortBudget         int             // grace-mode sort budget (tuples); 0 = storage.DefaultSortBudget
 	TmpDir             string          // grace-mode spill dir; "" = os.TempDir()
+	Ctx                context.Context // optional: checked at every batch boundary of Open's input race
+	Stats              *JoinStats      // optional: receives the build side Open chose
 	out                *table.Schema
 	built              *table.TupleMap
+	buildLeft          bool     // the table holds the left input, the right probes it
+	probe              Operator // the input streamed against the table
+	probeKeys          []int
 	grace              *MergeJoin    // non-nil after a memory-pressured Open
 	graced             bool          // sticky across Close: the last Open degraded
-	in                 []table.Tuple // reused probe batch
+	in                 []table.Tuple // probe batch: the race's buffered prefix first, then reused
 	inN, inPos         int
 	cur                table.Group // matches for the current probe tuple
 	curLen             int         // 1+len(cur.Rest), 0 when no match
-	curLeft            table.Tuple
+	curProbe           table.Tuple
 	curPos             int
 	slots              slotBufs
 	one                [1]table.Tuple
@@ -72,14 +60,52 @@ func NewHashJoin(left, right Operator, leftKeys, rightKeys []int) (*HashJoin, er
 // Schema returns left ++ right.
 func (j *HashJoin) Schema() *table.Schema { return j.out }
 
-// Open builds the hash table over the right input. With a governor set, the
-// build side is charged as it grows; a denied reservation degrades the join
-// to grace (sort-merge) mode instead of failing — see gracejoin.go. A failed
-// Open leaves the join fully closed (children included): collectors do not
-// Close a tree whose Open errored, so every operator must release what it
-// acquired — child scanners' pinned pages, a grace sorter's spill runs —
-// before surfacing the error (Close is idempotent throughout the engine,
-// so re-closing an input some error path already closed is safe).
+// raceInputs decides the build side of an ungoverned serial hash join, the
+// one rule both the row and the columnar join follow: build on the left iff
+// it has fewer rows than the right; ties keep the right. pull[0] and pull[1]
+// each pull and buffer one batch of the left and the right input and return
+// its row count, 0 at the end of the stream. The side with fewer rows pulled
+// so far goes next, and pulling stops once the rule is decided, so neither
+// side buffers more than min(|L|, |R|) rows plus one batch; the side chosen
+// for the build is always exhausted. The decision depends on the row counts
+// alone, never on batch sizes. ctx (nil = none) is checked before each pull.
+func raceInputs(ctx context.Context, pull [2]func() (int, error)) (buildLeft bool, err error) {
+	var rows [2]int
+	var done [2]bool
+	for {
+		switch {
+		case done[0] && done[1]:
+			return rows[0] < rows[1], nil
+		case done[0] && rows[1] > rows[0]:
+			return true, nil
+		case done[1] && rows[0] >= rows[1]:
+			return false, nil
+		}
+		side := 0
+		if done[0] || (!done[1] && rows[1] < rows[0]) {
+			side = 1
+		}
+		if ctx != nil && ctx.Err() != nil {
+			return false, ctx.Err()
+		}
+		n, err := pull[side]()
+		if err != nil {
+			return false, err
+		}
+		rows[side] += n
+		done[side] = n == 0
+	}
+}
+
+// Open builds the hash table — on the smaller input when ungoverned, on the
+// right input under a governor. With a governor set, the build side is
+// charged as it grows; a denied reservation degrades the join to grace
+// (sort-merge) mode instead of failing — see gracejoin.go. A failed Open
+// leaves the join fully closed (children included): collectors do not Close
+// a tree whose Open errored, so every operator must release what it acquired
+// — child scanners' pinned pages, a grace sorter's spill runs — before
+// surfacing the error (Close is idempotent throughout the engine, so
+// re-closing an input some error path already closed is safe).
 func (j *HashJoin) Open() error {
 	j.grace = nil
 	j.graced = false
@@ -90,32 +116,85 @@ func (j *HashJoin) Open() error {
 		j.Left.Close()
 		return err
 	}
-	var built *table.TupleMap
 	var err error
 	if j.Mem != nil {
-		var buffered []table.Tuple
-		var pressured bool
-		built, buffered, pressured, err = buildGoverned(j.Right, j.RightKey, j.Mem)
-		if err == nil && pressured {
-			if gerr := j.openGrace(buffered); gerr != nil {
-				j.Left.Close()
-				j.Right.Close()
-				return gerr
-			}
-			return nil
-		}
+		err = j.openGoverned()
 	} else {
-		built, err = buildSide(j.Right, j.RightKey)
+		err = j.openRaced()
 	}
 	if err != nil {
 		j.Left.Close()
 		j.Right.Close()
 		return err
 	}
-	j.built = built
 	j.cur = table.Group{}
 	j.curLen, j.curPos = 0, 0
+	return nil
+}
+
+// openGoverned builds on the right input under the governor, handing off to
+// grace mode when a reservation is denied.
+func (j *HashJoin) openGoverned() error {
+	built, buffered, pressured, err := buildGoverned(j.Right, j.RightKey, j.Mem)
+	if err != nil {
+		return err
+	}
+	if pressured {
+		return j.openGrace(buffered)
+	}
+	j.built, j.buildLeft = built, false
+	j.probe, j.probeKeys = j.Left, j.LeftKeys
 	j.inN, j.inPos = 0, 0
+	return nil
+}
+
+// openRaced races the two inputs (raceInputs), builds the table from the
+// chosen side's buffered rows, and queues the other side's buffered prefix
+// as the first probe rows. Buffered tuples are slab-cloned unless their
+// source promises StableTuples.
+func (j *HashJoin) openRaced() error {
+	ops := [2]Operator{j.Left, j.Right}
+	var bufs [2][]table.Tuple
+	var slab table.Slab
+	batch := make([]table.Tuple, BatchSize)
+	var pull [2]func() (int, error)
+	for side := range pull {
+		op, stable := ops[side], Stable(ops[side])
+		pull[side] = func() (int, error) {
+			n, err := NextBatch(op, batch)
+			for _, t := range batch[:n] {
+				if !stable {
+					t = slab.Clone(t)
+				}
+				bufs[side] = append(bufs[side], t) //sproutvet:allow batchalias t is slab-cloned above unless the source promises StableTuples — drainCtx's conditional-stability idiom
+			}
+			return n, err
+		}
+	}
+	buildLeft, err := raceInputs(j.Ctx, pull)
+	if err != nil {
+		return err
+	}
+	b, p := 1, 0
+	j.probe, j.probeKeys = j.Left, j.LeftKeys
+	buildKeys := j.RightKey
+	if buildLeft {
+		b, p = 0, 1
+		j.probe, j.probeKeys = j.Right, j.RightKey
+		buildKeys = j.LeftKeys
+	}
+	// The map deliberately starts empty: presizing by row count
+	// over-allocates heavily on repeated join keys (FK joins) and measures
+	// slower.
+	built := table.NewTupleMap(buildKeys, 0)
+	for _, t := range bufs[b] {
+		built.Add(t)
+	}
+	j.built, j.buildLeft = built, buildLeft
+	j.in, j.inN, j.inPos = bufs[p], len(bufs[p]), 0
+	if j.Stats != nil {
+		j.Stats.BuildLeft, j.Stats.BuildRows = buildLeft, int64(len(bufs[b]))
+	}
 	return nil
 }
 
@@ -129,7 +208,7 @@ func (j *HashJoin) Next() (table.Tuple, bool, error) {
 }
 
 // NextBatch fills dst with joined tuples built in reused per-slot buffers.
-// The current probe tuple references the join's input batch, which is only
+// The current probe tuple references the join's probe batch, which is only
 // refilled once its matches are exhausted, so no probe-side clone is needed.
 func (j *HashJoin) NextBatch(dst []table.Tuple) (int, error) {
 	if j.grace != nil {
@@ -138,21 +217,25 @@ func (j *HashJoin) NextBatch(dst []table.Tuple) (int, error) {
 	n := 0
 	for n < len(dst) {
 		if j.curPos < j.curLen {
-			r := j.cur.First
+			m := j.cur.First
 			if j.curPos > 0 {
-				r = j.cur.Rest[j.curPos-1]
+				m = j.cur.Rest[j.curPos-1]
 			}
 			j.curPos++
+			l, r := j.curProbe, m
+			if j.buildLeft {
+				l, r = m, j.curProbe
+			}
 			buf := j.slots.slot(n, j.out.Len())
-			copy(buf, j.curLeft)
-			copy(buf[len(j.curLeft):], r)
+			copy(buf, l)
+			copy(buf[len(l):], r)
 			dst[n] = buf
 			n++
 			continue
 		}
 		if j.inPos >= j.inN {
 			j.in = batchScratch(j.in, BatchSize)
-			k, err := NextBatch(j.Left, j.in)
+			k, err := NextBatch(j.probe, j.in)
 			if err != nil {
 				return 0, err
 			}
@@ -162,9 +245,9 @@ func (j *HashJoin) NextBatch(dst []table.Tuple) (int, error) {
 			j.inN, j.inPos = k, 0
 		}
 		//sproutvet:allow batchalias probe cursor lives only until j.in is refilled, and its matches drain first (see NextBatch doc)
-		j.curLeft = j.in[j.inPos]
+		j.curProbe = j.in[j.inPos]
 		j.inPos++
-		g, ok := j.built.Lookup(j.curLeft, j.LeftKeys)
+		g, ok := j.built.Lookup(j.curProbe, j.probeKeys)
 		j.cur = g
 		j.curLen = 0
 		if ok {
@@ -179,7 +262,7 @@ func (j *HashJoin) NextBatch(dst []table.Tuple) (int, error) {
 // merge join owns the left input (via its wrapping Sort) and the sorted
 // right stream; the drained right input is closed here.
 func (j *HashJoin) Close() error {
-	j.built = nil
+	j.built, j.in, j.curProbe = nil, nil, nil
 	if j.grace != nil {
 		g := j.grace
 		j.grace = nil

@@ -253,8 +253,9 @@ func leafPipeline(ex exec, c *Catalog, q *query.Query, ref query.RelRef, rowExec
 // joinPipeline equi-joins two operators on their shared data attributes and
 // projects the result to the needed attributes plus all V/P columns. Under a
 // multi-worker pool the join is hash-partitioned and the partitions joined
-// in parallel.
-func joinPipeline(ex exec, q *query.Query, left, right engine.Operator, joined map[string]bool) (engine.Operator, error) {
+// in parallel. stats (nil = none) receives the build side an ungoverned
+// serial join chooses.
+func joinPipeline(ex exec, q *query.Query, left, right engine.Operator, joined map[string]bool, stats *engine.JoinStats) (engine.Operator, error) {
 	ls, rs := left.Schema(), right.Schema()
 	var lk, rk []int
 	for i, lc := range ls.Cols {
@@ -268,25 +269,23 @@ func joinPipeline(ex exec, q *query.Query, left, right engine.Operator, joined m
 		}
 	}
 	var j engine.Operator
-	var err error
-	switch {
-	case ex.mem != nil:
+	if ex.parallel() && ex.mem == nil {
+		pj, err := engine.NewPartitionedHashJoin(left, right, lk, rk, ex.pool, ex.ctx)
+		if err != nil {
+			return nil, err
+		}
+		j = pj
+	} else {
 		// Governed runs take the serial grace-capable hash join even under
 		// a parallel pool: the partitioned join's per-partition build sides
 		// are unaccounted, and the grace fallback must own the whole build.
-		hj, herr := engine.NewHashJoin(left, right, lk, rk)
-		if herr != nil {
-			return nil, herr
+		hj, err := engine.NewHashJoin(left, right, lk, rk)
+		if err != nil {
+			return nil, err
 		}
 		hj.Mem, hj.SortBudget, hj.TmpDir = ex.mem, ex.sortBudget, ex.tmpDir
+		hj.Ctx, hj.Stats = ex.ctx, stats
 		j = hj
-	case ex.parallel():
-		j, err = engine.NewPartitionedHashJoin(left, right, lk, rk, ex.pool, ex.ctx)
-	default:
-		j, err = engine.NewHashJoin(left, right, lk, rk)
-	}
-	if err != nil {
-		return nil, err
 	}
 	// Project: needed data attrs (first occurrence wins, removing the
 	// duplicated join columns) + every V/P column.

@@ -79,6 +79,21 @@ func (st *lowerState) count(op engine.Operator, sp *obs.Span) engine.Operator {
 	return engine.Counted(op, s)
 }
 
+// joinStats returns a sink for the build side the serial join under sp
+// chooses, written to sp as the loose attributes build (left|right) and
+// build_rows once the enclosing materialize finishes.
+func (st *lowerState) joinStats(sp *obs.Span) *engine.JoinStats {
+	js := &engine.JoinStats{}
+	st.flushes = append(st.flushes, func() {
+		side := "right"
+		if js.BuildLeft {
+			side = "left"
+		}
+		sp.LooseStr("build", side).LooseInt("build_rows", js.BuildRows)
+	})
+	return js
+}
+
 // flush runs the trace-attribute writers appended since mark — the
 // wrappers belonging to the subtree a materialize call just drained.
 // Writers below the mark belong to enclosing, still-undrained pipelines
@@ -133,14 +148,16 @@ func (st *lowerState) operator(n logical.Node, sp *obs.Span) (engine.Operator, e
 	case *logical.Project:
 		if j, ok := x.Input.(*logical.Join); ok {
 			jsp := sp.Child("join")
+			var js *engine.JoinStats
 			if jsp != nil {
 				switch {
 				case st.ex.mem != nil:
-					jsp.LooseStr("phys", "hash(build=right, governed)")
+					jsp.LooseStr("phys", "hash(governed)")
 				case st.ex.parallel():
 					jsp.LooseStr("phys", "partitioned-hash")
 				default:
-					jsp.LooseStr("phys", "hash(build=right)")
+					jsp.LooseStr("phys", "hash")
+					js = st.joinStats(jsp)
 				}
 			}
 			left, err := st.operator(j.Left, jsp)
@@ -151,7 +168,7 @@ func (st *lowerState) operator(n logical.Node, sp *obs.Span) (engine.Operator, e
 			if err != nil {
 				return nil, err
 			}
-			op, err := joinPipeline(st.ex, st.q, left, right, joinedUnder(x))
+			op, err := joinPipeline(st.ex, st.q, left, right, joinedUnder(x), js)
 			if err != nil {
 				return nil, err
 			}

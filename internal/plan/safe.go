@@ -186,7 +186,7 @@ func (s *safeLower) join(left, right engine.Operator, keep []string) (engine.Ope
 	if err != nil {
 		return nil, err
 	}
-	j.Mem, j.SortBudget, j.TmpDir = s.ex.mem, s.ex.sortBudget, s.ex.tmpDir
+	j.Mem, j.SortBudget, j.TmpDir, j.Ctx = s.ex.mem, s.ex.sortBudget, s.ex.tmpDir, s.ex.ctx
 	js := j.Schema()
 	lpi := ls.ColIndex(safeProbCol)
 	rpi := len(ls.Cols) + rs.ColIndex(safeProbCol)
