@@ -304,8 +304,8 @@ func BenchmarkAblationSortBudget(b *testing.B) {
 func BenchmarkAblationJoinChoice(b *testing.B) {
 	b.ReportAllocs()
 	d := data(b)
-	ordScan := func() engine.Operator { return engine.NewMemScan(d.Ord.Rel) }
-	itemScan := func() engine.Operator { return engine.NewMemScan(d.Item.Rel) }
+	ordScan := func() engine.Operator { return engine.NewTableScan(d.Ord.Rel) }
+	itemScan := func() engine.Operator { return engine.NewTableScan(d.Item.Rel) }
 	ordKey := []int{d.Ord.Rel.Schema.MustColIndex("okey")}
 	itemKey := []int{d.Item.Rel.Schema.MustColIndex("okey")}
 	b.Run("hash", func(b *testing.B) {

@@ -40,7 +40,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		for _, row := range tb.Rel.Rows {
+		for row := range tb.Rel.All() {
 			if err := h.Append(row); err != nil {
 				fail(err)
 			}

@@ -13,12 +13,15 @@ import (
 // MonetDB/X100 vectorized tradition. The hot relational plumbing — scan,
 // filter, project, hash join — runs as tight per-column loops over typed
 // slices with a selection vector, paying one interface call per batch
-// instead of per-row Value unboxing. Everything above the columnar region
-// (sort, group-by, the confidence operator) keeps consuming rows: ColToRows
-// adapts a columnar pipeline back to the Volcano row interface, and
-// Columnarize/Vectorize lower a row plan into the maximal columnar region it
-// supports, falling back to rows at the first operator that has no columnar
-// form. The columnar path is a pure execution-strategy change: it emits the
+// instead of per-row Value unboxing. Base tables already sit in column
+// chunks (table.ColTable), so their scan (TableScan, tablescan.go) copies
+// typed vectors; only materialized intermediates, which are row relations,
+// are transposed into batches (ColMemScan). Everything above the columnar
+// region (sort, group-by, the confidence operator) keeps consuming rows:
+// ColToRows adapts a columnar pipeline back to the Volcano row interface,
+// and Columnarize/Vectorize lower a row plan into the maximal columnar
+// region it supports, falling back to rows at the first operator that has
+// no columnar form. The columnar path is a pure execution-strategy change: it emits the
 // same tuples in the same order as the row path (hashes via
 // ColBatch.HashInto are bit-identical to table.HashOn), so confidences are
 // pinned bit-identical across the two tiers.
@@ -36,8 +39,9 @@ type ColOperator interface {
 	Close() error
 }
 
-// ColMemScan iterates an in-memory relation a column batch at a time,
-// transposing BatchSize rows per call.
+// ColMemScan iterates a materialized row relation (an intermediate, such as
+// an eager plan's conf output) a column batch at a time, transposing
+// BatchSize rows per call. Base tables are read by TableScan instead.
 type ColMemScan struct {
 	Rel *table.Relation
 	pos int
@@ -494,6 +498,8 @@ func Columnarize(op Operator) (ColOperator, bool) {
 		return &ColCounted{In: in, S: o.S}, true
 	case *MemScan:
 		return &ColMemScan{Rel: o.Rel}, true
+	case *TableScan:
+		return &TableScan{T: o.T, lo: o.lo, hi: o.hi}, true
 	case *HeapScan:
 		return NewColHeapScan(o.File, o.Pool, o.schema), true
 	case *Filter:
@@ -595,6 +601,8 @@ func pruneCols(op ColOperator, need []bool) {
 		o.need = need
 	case *ColMemScan:
 		o.need = need
+	case *TableScan:
+		o.need = need
 	case *ColHashJoin:
 		pruneCols(o.Left, nil)
 		pruneCols(o.Right, nil)
@@ -627,10 +635,6 @@ func Vectorize(op Operator) (Operator, bool) {
 	case *Project:
 		if in, ok := Vectorize(o.In); ok {
 			return &Project{In: in, Exprs: o.Exprs, Out: o.Out}, true
-		}
-	case *Limit:
-		if in, ok := Vectorize(o.In); ok {
-			return &Limit{In: in, N: o.N}, true
 		}
 	case *HashJoin:
 		l, lok := Vectorize(o.Left)

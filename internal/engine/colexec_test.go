@@ -153,9 +153,10 @@ func TestCollectCtxVecIdentity(t *testing.T) {
 	}
 }
 
-// TestVectorizePartialLowering: a tree whose root has no columnar form
-// (Limit, Sort) still gets its scan/filter region lowered, and the rewritten
-// plan emits identical rows; Columnarize itself must refuse the full tree.
+// TestVectorizePartialLowering: a tree whose root has no columnar form (a
+// column-vs-column filter, which compileColPreds rejects, or a Sort) still
+// gets its scan/filter region lowered, and the rewritten plan emits
+// identical rows; Columnarize itself must refuse the full tree.
 func TestVectorizePartialLowering(t *testing.T) {
 	rel := colTestRel(1500, 12, 21)
 	h := writeHeap(t, t.TempDir(), rel)
@@ -163,17 +164,21 @@ func TestVectorizePartialLowering(t *testing.T) {
 	build := func() Operator {
 		f := NewFilter(NewHeapScan(h, pool, rel.Schema),
 			Cmp{L: ColRef{Idx: 1, Name: "x"}, Op: OpLe, R: Const{V: table.Float(75)}})
-		return NewLimit(f, 900)
+		return NewFilter(f, Cmp{L: ColRef{Idx: 0, Name: "k"}, Op: OpLt, R: ColRef{Idx: 1, Name: "x"}})
 	}
 	if _, ok := Columnarize(build()); ok {
-		t.Fatal("Columnarize must refuse a Limit root")
+		t.Fatal("Columnarize must refuse a column-vs-column filter root")
 	}
 	vop, ok := Vectorize(build())
 	if !ok {
-		t.Fatal("Vectorize found no columnar region under the Limit")
+		t.Fatal("Vectorize found no columnar region under the root filter")
 	}
-	if _, isLimit := vop.(*Limit); !isLimit {
-		t.Fatalf("vectorized root is %T, want *Limit", vop)
+	root, isFilter := vop.(*Filter)
+	if !isFilter {
+		t.Fatalf("vectorized root is %T, want *Filter", vop)
+	}
+	if _, lowered := root.In.(*ColToRows); !lowered {
+		t.Fatalf("root filter input is %T, want the lowered *ColToRows", root.In)
 	}
 	want, err := CollectCtx(nil, build())
 	if err != nil {
@@ -183,7 +188,7 @@ func TestVectorizePartialLowering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustSameRelations(t, "limit-over-columnar", got, want)
+	mustSameRelations(t, "colcmp-filter-over-columnar", got, want)
 
 	// Sort root: same contract through the generic CollectCtxVec entry.
 	sortBuild := func() Operator { return NewSort(build(), SortSpec{Cols: []int{0, 3}}) }

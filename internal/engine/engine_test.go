@@ -112,14 +112,6 @@ func TestProjectColumnsAndExprs(t *testing.T) {
 	}
 }
 
-func TestLimit(t *testing.T) {
-	rel := intsRel("a", 1, 2, 3, 4)
-	rows := drain(t, NewLimit(NewMemScan(rel), 2))
-	if len(rows) != 2 {
-		t.Fatalf("limit rows = %v", rows)
-	}
-}
-
 func TestHashJoinBasic(t *testing.T) {
 	l := pairRel("k", "x", [2]int64{1, 10}, [2]int64{2, 20}, [2]int64{3, 30})
 	r := pairRel("k", "y", [2]int64{2, 200}, [2]int64{2, 201}, [2]int64{4, 400})
@@ -235,22 +227,6 @@ func TestMergeJoinAsymmetricKeyLayouts(t *testing.T) {
 		if row[0].I != row[5].I || row[3].I != row[4].I {
 			t.Errorf("join keys should match across sides: %v", row)
 		}
-	}
-}
-
-func TestNestedLoopJoinPredicate(t *testing.T) {
-	l := intsRel("a", 1, 2, 3)
-	r := intsRel("b", 2, 3, 4)
-	j := NewNestedLoopJoin(NewMemScan(l), NewMemScan(r),
-		Cmp{L: ColRef{Idx: 0}, Op: OpLt, R: ColRef{Idx: 1}})
-	rows := drain(t, j)
-	// pairs with a<b: (1,2)(1,3)(1,4)(2,3)(2,4)(3,4) = 6
-	if len(rows) != 6 {
-		t.Fatalf("got %d rows, want 6", len(rows))
-	}
-	cross := NewNestedLoopJoin(NewMemScan(l), NewMemScan(r), nil)
-	if rows := drain(t, cross); len(rows) != 9 {
-		t.Fatalf("cross product should have 9 rows, got %d", len(rows))
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package engine is the relational query executor: Volcano-style iterators
-// (scan, filter, project, hash/merge/nested-loop join, external sort,
-// group-by, distinct) over the table data model. It plays the role of the
+// (scan, filter, project, hash/merge join, external sort, group-by,
+// distinct) over the table data model. It plays the role of the
 // PostgreSQL executor that SPROUT extends — the confidence operator in
 // internal/conf consumes the sorted tuple streams produced here.
 //
@@ -19,8 +19,11 @@
 // vectors instead of tuple slices through the same scan/filter/project/
 // hash-join shapes, Columnarize/Vectorize lower a row plan into its
 // maximal columnar regions (falling back to rows at the first operator
-// with no columnar form), and dead-column pruning keeps heap scans from
-// decoding columns nothing reads. The columnar tier is an execution
+// with no columnar form), and dead-column pruning keeps scans from
+// decoding or copying columns nothing reads. Base tables are stored
+// column-wise (table.ColTable), so TableScan serves both tiers: it copies
+// whole column chunks into batches, or materializes rows for the row
+// tier. The columnar tier is an execution
 // strategy, not a semantics change: it emits the same tuples in the same
 // order as the row path, with bit-identical hashes and confidences.
 package engine

@@ -241,52 +241,3 @@ func (p *Project) NextBatch(dst []table.Tuple) (int, error) {
 
 // Close closes the input.
 func (p *Project) Close() error { return p.In.Close() }
-
-// Limit passes through at most N tuples (used by examples and tools).
-type Limit struct {
-	In   Operator
-	N    int64
-	seen int64
-}
-
-// NewLimit wraps in with a row limit.
-func NewLimit(in Operator, n int64) *Limit { return &Limit{In: in, N: n} }
-
-// Schema returns the input schema.
-func (l *Limit) Schema() *table.Schema { return l.In.Schema() }
-
-// Open opens the input and resets the counter.
-func (l *Limit) Open() error { l.seen = 0; return l.In.Open() }
-
-// Next yields until the limit is reached.
-func (l *Limit) Next() (table.Tuple, bool, error) {
-	if l.seen >= l.N {
-		return nil, false, nil
-	}
-	t, ok, err := l.In.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	l.seen++
-	return t, true, nil
-}
-
-// NextBatch yields a batch truncated to the remaining allowance.
-func (l *Limit) NextBatch(dst []table.Tuple) (int, error) {
-	rem := l.N - l.seen
-	if rem <= 0 {
-		return 0, nil
-	}
-	if int64(len(dst)) > rem {
-		dst = dst[:rem]
-	}
-	n, err := NextBatch(l.In, dst)
-	l.seen += int64(n)
-	return n, err
-}
-
-// StableTuples: a limit passes its input's tuples through untouched.
-func (l *Limit) StableTuples() bool { return Stable(l.In) }
-
-// Close closes the input.
-func (l *Limit) Close() error { return l.In.Close() }

@@ -9,56 +9,54 @@ import (
 )
 
 // This file is the partition-parallel side of the executor: chunked
-// evaluation of per-tuple pipelines over in-memory relations (parallel
-// scans) and a hash-partitioned join, both driven by the shared worker pool
-// of internal/pool. Both produce output that is a deterministic function of
-// their input alone — independent of the worker count and of scheduling —
-// which is what lets the engine guarantee bit-identical results for
-// workers=1 and workers=N.
+// evaluation of per-tuple pipelines over base tables' column stores
+// (parallel scans) and a hash-partitioned join, both driven by the shared
+// worker pool of internal/pool. Both produce output that is a deterministic
+// function of their input alone — independent of the worker count and of
+// scheduling — which is what lets the engine guarantee bit-identical
+// results for workers=1 and workers=N.
 
 // ParallelMinRows is the input size below which the parallel paths fall back
 // to serial execution; see pool.ParallelMinRows.
 const ParallelMinRows = pool.ParallelMinRows
 
-// CollectChunks evaluates a per-tuple operator pipeline over an in-memory
-// relation in parallel: the rows are split into contiguous chunks, each
-// worker runs its own pipeline instance (built by wrap over a scan of its
-// chunk) and the chunk outputs are concatenated in chunk order. Because the
-// pipeline is row-wise and order-preserving, the result equals a serial
-// wrap(scan(rel)) collection regardless of the chunk count — so the worker
-// count never changes the output, only the wall-clock.
+// CollectChunks evaluates a per-tuple operator pipeline over a base table's
+// column store in parallel: the table's chunks are split into contiguous
+// runs, one per worker, each worker runs its own pipeline instance (built by
+// wrap over a scan of its run) and the outputs are concatenated in run
+// order. Because the pipeline is row-wise and order-preserving, the result
+// equals a serial wrap(NewTableScan(t)) collection regardless of the worker
+// count — so the worker count never changes the output, only the
+// wall-clock.
 //
 // wrap must build a fresh, independent pipeline on every call: instances run
-// concurrently.
-func CollectChunks(ctx context.Context, p *pool.Pool, rel *table.Relation, wrap func(Operator) (Operator, error)) (*table.Relation, error) {
-	return collectChunks(ctx, p, rel, wrap, CollectCtx)
+// concurrently. They only read the table's chunks.
+func CollectChunks(ctx context.Context, p *pool.Pool, t *table.ColTable, wrap func(Operator) (Operator, error)) (*table.Relation, error) {
+	return collectChunks(ctx, p, t, wrap, CollectCtx)
 }
 
-// CollectChunksVec is CollectChunks with each chunk's pipeline lowered to the
+// CollectChunksVec is CollectChunks with each run's pipeline lowered to the
 // columnar tier when possible (CollectCtxVec): the same rows in the same
 // order, at vectorized speed.
-func CollectChunksVec(ctx context.Context, p *pool.Pool, rel *table.Relation, wrap func(Operator) (Operator, error)) (*table.Relation, error) {
-	return collectChunks(ctx, p, rel, wrap, func(ctx context.Context, op Operator) (*table.Relation, error) {
+func CollectChunksVec(ctx context.Context, p *pool.Pool, t *table.ColTable, wrap func(Operator) (Operator, error)) (*table.Relation, error) {
+	return collectChunks(ctx, p, t, wrap, func(ctx context.Context, op Operator) (*table.Relation, error) {
 		out, _, err := CollectCtxVec(ctx, op)
 		return out, err
 	})
 }
 
-func collectChunks(ctx context.Context, p *pool.Pool, rel *table.Relation, wrap func(Operator) (Operator, error), collect func(context.Context, Operator) (*table.Relation, error)) (*table.Relation, error) {
-	n := rel.Len()
-	chunks := p.Workers()
-	if !p.Parallel() || n < ParallelMinRows {
-		op, err := wrap(NewMemScan(rel))
+func collectChunks(ctx context.Context, p *pool.Pool, t *table.ColTable, wrap func(Operator) (Operator, error), collect func(context.Context, Operator) (*table.Relation, error)) (*table.Relation, error) {
+	if !p.Parallel() || t.Len() < ParallelMinRows {
+		op, err := wrap(NewTableScan(t))
 		if err != nil {
 			return nil, err
 		}
 		return collect(ctx, op)
 	}
-	parts := make([]*table.Relation, chunks)
-	err := p.Do(ctx, chunks, func(i int) error {
-		lo, hi := i*n/chunks, (i+1)*n/chunks
-		sub := &table.Relation{Schema: rel.Schema, Rows: rel.Rows[lo:hi]}
-		op, err := wrap(NewMemScan(sub))
+	n, runs := t.Chunks(), p.Workers()
+	parts := make([]*table.Relation, runs)
+	err := p.Do(ctx, runs, func(i int) error {
+		op, err := wrap(NewTableScanRange(t, i*n/runs, (i+1)*n/runs))
 		if err != nil {
 			return err
 		}

@@ -88,8 +88,8 @@ func TestPartitionedHashJoinMatchesHashJoin(t *testing.T) {
 }
 
 // TestCollectChunksPreservesOrder: chunked evaluation of a filter+project
-// pipeline equals the serial collection row for row, for every worker
-// count.
+// pipeline over a column store equals the serial collection over the same
+// rows held as a relation, row for row, for every worker count.
 func TestCollectChunksPreservesOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	rel := randRel(rng, ParallelMinRows*3, 50)
@@ -104,8 +104,12 @@ func TestCollectChunksPreservesOrder(t *testing.T) {
 	}
 	want := collectAll(t, op)
 
+	ct := table.NewColTable(rel.Schema)
+	for _, row := range rel.Rows {
+		ct.MustAppend(row)
+	}
 	for _, workers := range []int{1, 3, 8} {
-		got, err := CollectChunks(context.Background(), pool.New(workers), rel, wrap)
+		got, err := CollectChunks(context.Background(), pool.New(workers), ct, wrap)
 		if err != nil {
 			t.Fatal(err)
 		}

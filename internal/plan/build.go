@@ -189,7 +189,7 @@ func depth(t *query.Tree) int {
 // table's schema. The projection keeps the occurrence's needed attributes
 // plus its V/P columns; selections are applied before attributes are
 // dropped. Every call builds a fresh pipeline, so instances can run
-// concurrently over disjoint row chunks.
+// concurrently over disjoint runs of column chunks.
 func leafWrap(c *Catalog, q *query.Query, ref query.RelRef, in engine.Operator) (engine.Operator, error) {
 	op, err := c.Rename(ref, in)
 	if err != nil {
@@ -219,14 +219,15 @@ func leafWrap(c *Catalog, q *query.Query, ref query.RelRef, in engine.Operator) 
 }
 
 // leafPipeline builds the operator reading one relation occurrence. Under a
-// multi-worker pool the scan is partitioned: the base relation's rows are
-// split into chunks, each chunk runs its own rename/filter/project pipeline
-// on a worker, and the chunk outputs are concatenated in row order — the
-// same rows in the same order as the serial scan. Disk-resident tables
-// (Catalog.BindDisk) scan their heap file through the buffer pool instead;
-// the scan is not chunk-partitioned (pages arrive sequentially), so the
-// pipeline streams into the enclosing collector, where the columnar tier
-// decodes pages straight into column vectors unless rowExec forces rows.
+// multi-worker pool the scan is partitioned: the base table's column chunks
+// are split into contiguous runs, each run feeds its own
+// rename/filter/project pipeline on a worker, and the run outputs are
+// concatenated in order — the same rows in the same order as the serial
+// scan. Disk-resident tables (Catalog.BindDisk) scan their heap file
+// through the buffer pool instead; the scan is not chunk-partitioned (pages
+// arrive sequentially), so the pipeline streams into the enclosing
+// collector, where the columnar tier decodes pages straight into column
+// vectors unless rowExec forces rows.
 func leafPipeline(ex exec, c *Catalog, q *query.Query, ref query.RelRef, rowExec bool) (engine.Operator, error) {
 	base, err := c.Base(ref)
 	if err != nil {
@@ -247,7 +248,7 @@ func leafPipeline(ex exec, c *Catalog, q *query.Query, ref query.RelRef, rowExec
 		}
 		return engine.NewMemScan(rel), nil
 	}
-	return wrap(engine.NewMemScan(base.Rel))
+	return wrap(engine.NewTableScan(base.Rel))
 }
 
 // joinPipeline equi-joins two operators on their shared data attributes and

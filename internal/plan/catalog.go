@@ -36,9 +36,12 @@ import (
 	"repro/internal/table"
 )
 
-// Catalog maps base table names to tuple-independent tables. It is the
-// "database" side of the planner; the sprout facade wraps it. Alongside the
-// tables it caches the ANALYZE statistics the cost-based planner consumes.
+// Catalog maps base table names to tuple-independent tables, each stored
+// column-wise (table.ColTable) unless bound to a heap file (BindDisk). It
+// is the "database" side of the planner; the sprout facade wraps it.
+// Alongside the tables it caches the ANALYZE statistics the cost-based
+// planner consumes. Concurrent queries share the tables' column chunks as
+// read-only state.
 type Catalog struct {
 	tables map[string]*table.ProbTable
 	disk   map[string]*DiskBinding
@@ -48,9 +51,9 @@ type Catalog struct {
 }
 
 // DiskBinding marks a registered table as disk-resident: scans read its heap
-// file through the shared buffer pool instead of an in-memory relation (the
-// table's Rel then carries only the schema). Rows caches the file's tuple
-// count so cardinality estimation needs no I/O.
+// file through the shared buffer pool instead of the in-memory column store
+// (the table's Rel then holds no rows and supplies only its Schema). Rows
+// caches the file's tuple count so cardinality estimation needs no I/O.
 type DiskBinding struct {
 	File *storage.HeapFile
 	Pool *storage.BufferPool
@@ -163,8 +166,8 @@ func (c *Catalog) Names() []string {
 }
 
 // Rows returns the cardinality of a base table (0 for unknown tables). For
-// disk-bound tables the count comes from the binding — the in-memory Rel is
-// schema-only.
+// disk-bound tables the count comes from the binding — the in-memory Rel
+// holds no rows.
 func (c *Catalog) Rows(name string) int {
 	if db := c.disk[name]; db != nil {
 		return db.Rows
@@ -189,8 +192,8 @@ func (c *Catalog) Base(ref query.RelRef) (*table.ProbTable, error) {
 // names, V/P columns renamed to the occurrence name. Renaming is what makes
 // the paper's alias trick for self-joins work (two copies of Nation with
 // attributes n1key/n2key, §VI on TPC-H query 7). Splitting the rename from
-// the scan lets the parallel execution layer run it over row chunks of the
-// base relation.
+// the scan lets the parallel execution layer run it over runs of the base
+// table's column chunks.
 func (c *Catalog) Rename(ref query.RelRef, in engine.Operator) (engine.Operator, error) {
 	bs := in.Schema()
 	dataIdx := bs.DataIndexes()
@@ -217,5 +220,5 @@ func (c *Catalog) Scan(ref query.RelRef) (engine.Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.Rename(ref, engine.NewMemScan(base.Rel))
+	return c.Rename(ref, engine.NewTableScan(base.Rel))
 }

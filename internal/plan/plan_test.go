@@ -330,7 +330,7 @@ func evalInWorld(t *testing.T, cat *Catalog, q *query.Query, truth map[prob.Var]
 		bs := base.Rel.Schema
 		vi := bs.VarIndex(ref.Base)
 		dataIdx := bs.DataIndexes()
-		for _, row := range base.Rel.Rows {
+		for row := range base.Rel.All() {
 			if !truth[row[vi].AsVar()] {
 				continue
 			}
@@ -452,7 +452,7 @@ func randomSmallCatalog(r *rand.Rand) (*Catalog, *prob.Assignment) {
 		ok := int64(1 + r.Intn(nOrd))
 		// ckey must match the order's ckey for the join to make sense.
 		var ck int64
-		for _, row := range ord.Rel.Rows {
+		for row := range ord.Rel.All() {
 			if row[0].I == ok {
 				ck = row[1].I
 			}

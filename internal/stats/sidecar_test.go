@@ -19,7 +19,7 @@ func TestSidecarRoundTrip(t *testing.T) {
 		table.DataCol("s", table.KindString),
 		table.VarCol("R"), table.ProbCol("R"),
 	)
-	rel := table.NewRelation(sch)
+	rel := table.NewColTable(sch)
 	for i := 0; i < 500; i++ {
 		rel.MustAppend(table.Tuple{
 			table.Int(int64(i % 40)),

@@ -2,9 +2,9 @@
 // cost-based planner: per-table row counts and average tuple widths,
 // per-attribute distinct counts and equi-depth histograms, and the
 // selectivity / cardinality estimators built on them. Statistics are
-// collected by a single ANALYZE pass over each base table — either an
-// in-memory relation or a heap file scanned through internal/storage — and
-// cached on the planner catalog.
+// collected by a single ANALYZE pass over each base table — either its
+// in-memory column store or a heap file scanned through internal/storage —
+// and cached on the planner catalog.
 package stats
 
 import (
@@ -198,10 +198,10 @@ func (a *analyzer) finish() *TableStats {
 }
 
 // Analyze computes the statistics of one base table in a single pass over
-// its in-memory relation.
+// its in-memory column store.
 func Analyze(pt *table.ProbTable) *TableStats {
 	a := newAnalyzer(pt.Name, pt.Rel.Schema)
-	for _, row := range pt.Rel.Rows {
+	for row := range pt.Rel.All() {
 		a.add(row)
 	}
 	return a.finish()

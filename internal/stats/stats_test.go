@@ -109,7 +109,7 @@ func TestAnalyzeHeapFileMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range pt.Rel.Rows {
+	for row := range pt.Rel.All() {
 		if err := h.Append(row); err != nil {
 			t.Fatal(err)
 		}

@@ -227,8 +227,9 @@ func (t Tuple) String() string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
-// Relation is an in-memory table: a schema plus rows. It doubles as the
-// materialized intermediate format of the executor.
+// Relation is an in-memory row table: a schema plus rows. It is the
+// materialized intermediate format of the executor (base tables are stored
+// column-wise, in a ColTable).
 type Relation struct {
 	Schema *Schema
 	Rows   []Tuple
@@ -258,10 +259,13 @@ func (r *Relation) Len() int { return len(r.Rows) }
 
 // ProbTable is a base tuple-independent probabilistic table: a relation of
 // schema (A, V, P) with the functional dependency A → V P (§II.A). Data
-// columns come first, then V(Name), P(Name).
+// columns come first, then V(Name), P(Name). The rows live column-wise in
+// Rel (a ColTable): base tables are scanned on every query, and the column
+// chunks are what the scans copy, so no query transposes rows. Rows may be
+// added at any time, but not while a query reads the table.
 type ProbTable struct {
 	Name string
-	Rel  *Relation
+	Rel  *ColTable
 }
 
 // NewProbTable creates a tuple-independent table with the given data
@@ -270,18 +274,26 @@ func NewProbTable(name string, dataCols ...Column) *ProbTable {
 	cols := make([]Column, 0, len(dataCols)+2)
 	cols = append(cols, dataCols...)
 	cols = append(cols, VarCol(name), ProbCol(name))
-	return &ProbTable{Name: name, Rel: NewRelation(NewSchema(cols...))}
+	return &ProbTable{Name: name, Rel: NewColTable(NewSchema(cols...))}
 }
 
-// AddRow appends a data tuple with its random variable and probability.
+// AddRow appends a data tuple with its random variable and probability,
+// writing the cells straight into the column store.
 func (p *ProbTable) AddRow(v prob.Var, pr float64, data ...Value) error {
 	if !(pr > 0 && pr <= 1) {
 		return fmt.Errorf("table: probability %g outside (0,1] for table %s", pr, p.Name)
 	}
-	t := make(Tuple, 0, len(data)+2)
-	t = append(t, data...)
-	t = append(t, VarValue(v), Float(pr))
-	return p.Rel.Append(t)
+	if len(data)+2 != p.Rel.Schema.Len() {
+		return fmt.Errorf("table: arity mismatch: tuple has %d values, schema %d columns", len(data)+2, p.Rel.Schema.Len())
+	}
+	cols, n := p.Rel.tail()
+	for c, val := range data {
+		cols[c].AppendValue(n, val)
+	}
+	cols[len(data)].AppendValue(n, VarValue(v))
+	cols[len(data)+1].AppendValue(n, Float(pr))
+	p.Rel.commit()
+	return nil
 }
 
 // MustAddRow is AddRow for fixtures.
@@ -295,7 +307,7 @@ func (p *ProbTable) MustAddRow(v prob.Var, pr float64, data ...Value) {
 func (p *ProbTable) Assignment(into *prob.Assignment) error {
 	vi := p.Rel.Schema.VarIndex(p.Name)
 	pi := p.Rel.Schema.ProbIndex(p.Name)
-	for _, row := range p.Rel.Rows {
+	for row := range p.Rel.All() {
 		v := row[vi].AsVar()
 		if !v.Valid() {
 			continue

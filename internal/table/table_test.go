@@ -194,12 +194,57 @@ func TestProbTable(t *testing.T) {
 	if err := ct.AddRow(3, 1.5, Int(3), Str("Li")); err == nil {
 		t.Error("out-of-range probability should be rejected")
 	}
+	if err := ct.AddRow(3, 0.5, Int(3)); err == nil {
+		t.Error("wrong arity should be rejected")
+	}
+	if ct.Rel.Len() != 2 {
+		t.Errorf("rejected rows must not be stored: Len %d, want 2", ct.Rel.Len())
+	}
 	a := prob.NewAssignment()
 	if err := ct.Assignment(a); err != nil {
 		t.Fatal(err)
 	}
 	if a.P(1) != 0.1 || a.P(2) != 0.2 {
 		t.Errorf("Assignment wrong: p1=%g p2=%g", a.P(1), a.P(2))
+	}
+}
+
+// TestColTableSealsExactCapacity: a full chunk keeps no append slack —
+// whether it grew by append (the first chunk) or was sized up front — while
+// the tail still takes appends.
+func TestColTableSealsExactCapacity(t *testing.T) {
+	ct := NewProbTable("T", DataCol("k", KindInt), DataCol("s", KindString), DataCol("mix", KindInt))
+	for i := 0; i < 2*ChunkRows+5; i++ {
+		mix := Int(int64(i))
+		if i == ChunkRows+3 {
+			mix = Float(0.5) // degrades the second chunk to the Values layout
+		}
+		k := Int(int64(i))
+		if i%7 == 0 {
+			k = Null()
+		}
+		ct.MustAddRow(prob.Var(i+1), 0.5, k, Str("s"), mix)
+	}
+	if got := ct.Rel.Chunks(); got != 3 {
+		t.Fatalf("%d chunks, want 3", got)
+	}
+	for k, ch := range ct.Rel.chunks[:2] {
+		if ch.n != ChunkRows {
+			t.Fatalf("chunk %d holds %d rows", k, ch.n)
+		}
+		for c := range ch.cols {
+			v := &ch.cols[c]
+			if cap(v.Ints) != len(v.Ints) || cap(v.Floats) != len(v.Floats) || cap(v.Strs) != len(v.Strs) ||
+				cap(v.Nulls) != len(v.Nulls) || cap(v.Values) != len(v.Values) {
+				t.Errorf("chunk %d column %d keeps append slack", k, c)
+			}
+		}
+	}
+	if ct.Rel.chunks[1].cols[2].Values == nil || ct.Rel.chunks[0].cols[2].Values != nil {
+		t.Error("only the second chunk's mixed column should use the Values layout")
+	}
+	if ct.Rel.Len() != 2*ChunkRows+5 || ct.Rel.chunks[2].n != 5 {
+		t.Errorf("Len %d, tail %d rows", ct.Rel.Len(), ct.Rel.chunks[2].n)
 	}
 }
 

@@ -5,7 +5,9 @@
 // columnar side of the model (colbatch.go) carries the same tuples as
 // per-column typed vectors — ColBatch/ColVec with a selection vector, a
 // null bitmap, and dictionary/flat string layouts — for the engine's
-// vectorized execution tier.
+// vectorized execution tier. Base tables (ProbTable) store their rows in
+// that layout too, as append-only chunks of a ColTable (coltable.go);
+// Relation, the row form, holds materialized intermediates.
 package table
 
 import (

@@ -22,7 +22,7 @@ func (d *Data) WriteHeapFiles(dir string) error {
 		if err != nil {
 			return err
 		}
-		for _, row := range tb.Rel.Rows {
+		for row := range tb.Rel.All() {
 			if err := h.Append(row); err != nil {
 				h.Close()
 				return fmt.Errorf("tpch: writing %s: %w", tb.Name, err)
@@ -62,22 +62,29 @@ func LoadHeapFiles(dir string, poolPages int) (*Data, error) {
 			return err
 		}
 		defer h.Close()
-		pt := &table.ProbTable{Name: refTable.Name, Rel: table.NewRelation(refTable.Rel.Schema)}
+		pt := &table.ProbTable{Name: refTable.Name, Rel: table.NewColTable(refTable.Rel.Schema)}
 		sc := h.NewScanner(pool)
 		defer sc.Close()
 		maxVar := 0
+		vi := pt.Rel.Schema.VarIndex(pt.Name)
+		row := make(table.Tuple, pt.Rel.Schema.Len())
 		for {
-			t, ok, err := sc.Next()
+			rec, ok, err := sc.NextRaw()
 			if err != nil {
 				return fmt.Errorf("tpch: loading %s: %w", refTable.Name, err)
 			}
 			if !ok {
 				break
 			}
+			// Decode into the one reused row (as the arena): Append copies
+			// the cells out, and a record of the wrong arity fails there.
+			t, _, _, err := storage.DecodeTupleArena(rec, row)
+			if err != nil {
+				return fmt.Errorf("tpch: loading %s: %w", refTable.Name, err)
+			}
 			if err := pt.Rel.Append(t); err != nil {
 				return fmt.Errorf("tpch: loading %s: %w", refTable.Name, err)
 			}
-			vi := pt.Rel.Schema.VarIndex(pt.Name)
 			if v := int(t[vi].I); v > maxVar {
 				maxVar = v
 			}
@@ -138,7 +145,7 @@ func OpenDiskCatalog(dir string, poolPages int) (*plan.Catalog, int, func() erro
 		}
 		files = append(files, h)
 		schema := refTable.Rel.Schema
-		c.MustAdd(&table.ProbTable{Name: refTable.Name, Rel: table.NewRelation(schema)})
+		c.MustAdd(&table.ProbTable{Name: refTable.Name, Rel: table.NewColTable(schema)})
 		var ts *stats.TableStats
 		if scErr == nil {
 			ts = sc.Tables[refTable.Name]

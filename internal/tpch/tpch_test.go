@@ -18,14 +18,21 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatalf("same seed must give same sizes: %d vs %d", a.Item.Rel.Len(), b.Item.Rel.Len())
 	}
 	for i := 0; i < 10 && i < a.Item.Rel.Len(); i++ {
-		if a.Item.Rel.Rows[i].String() != b.Item.Rel.Rows[i].String() {
+		if rowString(a.Item, i) != rowString(b.Item, i) {
 			t.Fatalf("row %d differs across runs with same seed", i)
 		}
 	}
 	c := Generate(Config{SF: 0.001, Seed: 43})
-	if c.Item.Rel.Rows[0].String() == a.Item.Rel.Rows[0].String() {
+	if rowString(c.Item, 0) == rowString(a.Item, 0) {
 		t.Error("different seeds should give different data")
 	}
+}
+
+// rowString renders row i of a generated table.
+func rowString(tb *table.ProbTable, i int) string {
+	row := make(table.Tuple, tb.Rel.Schema.Len())
+	tb.Rel.WriteRow(i, row)
+	return row.String()
 }
 
 func TestGenerateScaling(t *testing.T) {
@@ -51,7 +58,7 @@ func TestGeneratedProbabilitiesValid(t *testing.T) {
 	}
 	for _, tb := range d.Tables() {
 		pi := tb.Rel.Schema.ProbIndex(tb.Name)
-		for _, row := range tb.Rel.Rows {
+		for row := range tb.Rel.All() {
 			if row[pi].F < 0.2 || row[pi].F > 0.9 {
 				t.Fatalf("%s probability %g outside configured bounds", tb.Name, row[pi].F)
 			}
@@ -67,7 +74,7 @@ func TestVariablesGloballyUnique(t *testing.T) {
 	seen := make(map[int64]bool)
 	for _, tb := range d.Tables() {
 		vi := tb.Rel.Schema.VarIndex(tb.Name)
-		for _, row := range tb.Rel.Rows {
+		for row := range tb.Rel.All() {
 			v := row[vi].I
 			if seen[v] {
 				t.Fatalf("variable %d reused across tuples", v)
@@ -81,14 +88,14 @@ func TestForeignKeysResolve(t *testing.T) {
 	d := Generate(Config{SF: 0.001, Seed: 5})
 	nCust := int64(d.Cust.Rel.Len())
 	ci := d.Ord.Rel.Schema.MustColIndex("ckey")
-	for _, row := range d.Ord.Rel.Rows {
+	for row := range d.Ord.Rel.All() {
 		if row[ci].I < 0 || row[ci].I >= nCust {
 			t.Fatalf("dangling ckey %d", row[ci].I)
 		}
 	}
 	nOrd := int64(d.Ord.Rel.Len())
 	oi := d.Item.Rel.Schema.MustColIndex("okey")
-	for _, row := range d.Item.Rel.Rows {
+	for row := range d.Item.Rel.All() {
 		if row[oi].I < 0 || row[oi].I >= nOrd {
 			t.Fatalf("dangling okey %d", row[oi].I)
 		}
