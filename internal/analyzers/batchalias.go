@@ -6,9 +6,9 @@ import (
 )
 
 // BatchAlias guards PR 5's batch-storage contract: tuples handed out by
-// BatchOperator.NextBatch (and by the engine.NextBatch/fillBatch adapters)
-// live in reused buffers — they are valid only until the next NextBatch/Next
-// call unless the source operator promises StableTuples. A consumer that
+// Operator.NextBatch (and by the engine's fillBatch helper) live in reused
+// buffers — they are valid only until the next NextBatch call on the same
+// operator unless the source operator promises StableTuples. A consumer that
 // retains such a tuple past the batch (appending it to a long-lived slice,
 // storing it in a struct field) without a table.Slab clone sees the tuple
 // silently overwritten by a later batch. This is exactly the aliasing bug
@@ -69,21 +69,14 @@ func isTupleSlice(t types.Type) bool {
 }
 
 // batchSourceCall reports whether call hands out reused batch storage and
-// returns the batch-slice argument: X.NextBatch(dst), engine.NextBatch(op,
-// dst), or fillBatch(dst, next).
+// returns the batch-slice argument: X.NextBatch(dst) or fillBatch(dst,
+// next).
 func batchSourceCall(p *Pass, call *ast.CallExpr) (batch ast.Expr, ok bool) {
 	if recv, name := methodCall(p.TypesInfo, call); recv != nil && name == "NextBatch" && len(call.Args) == 1 {
 		return call.Args[0], true
 	}
-	switch _, name := pkgFunc(p.TypesInfo, call); name {
-	case "NextBatch":
-		if len(call.Args) == 2 {
-			return call.Args[1], true
-		}
-	case "fillBatch":
-		if len(call.Args) == 2 {
-			return call.Args[0], true
-		}
+	if _, name := pkgFunc(p.TypesInfo, call); name == "fillBatch" && len(call.Args) == 2 {
+		return call.Args[0], true
 	}
 	return nil, false
 }

@@ -3,7 +3,7 @@
 // guarantees. Each analyzer encodes one invariant and names the PR whose
 // bug class it guards against:
 //
-//   - batchalias — tuples from BatchOperator.NextBatch/fillBatch live in
+//   - batchalias — tuples from Operator.NextBatch/fillBatch live in
 //     reused buffers and must be slab-cloned before they outlive the batch,
 //     unless the source op promises StableTuples (PR 5's materialization
 //     rule, held in one place by engine.drainCtx).

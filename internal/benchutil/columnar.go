@@ -32,7 +32,7 @@ type ColumnarRow struct {
 // scan-heavy catalog queries, end to end through secondary storage: the
 // generated instance is persisted as heap files (plus the statistics
 // sidecar), opened as a disk-resident catalog whose scans page tuples
-// through a bounded buffer pool, and each query runs once tuple-at-a-time
+// through a bounded buffer pool, and each query runs once on the row engine
 // (Spec.RowExec) and once through the columnar tier. Confidences must be
 // bit-identical across the tiers; only the wall-clock may differ. queries
 // defaults to scan-dominated entries when nil.

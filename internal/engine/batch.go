@@ -6,52 +6,17 @@ import (
 	"repro/internal/table"
 )
 
-// This file is the batched side of the Volcano interface: operators move
-// tuples in batches of up to BatchSize through reused buffers, so the
-// per-tuple costs of the pull model — one interface call, one context check,
-// one buffer allocation per row — are paid once per batch instead. Every
-// core operator implements BatchOperator natively; NextBatch adapts the
-// rest, and the collectors (CollectCtx, Count) drive whole pipelines batch
-// by batch with cancellation checks at batch boundaries.
+// This file holds the batch plumbing shared by every row operator:
+// operators move tuples in batches of up to BatchSize through reused
+// buffers, so the per-tuple costs of the pull model — one interface call,
+// one context check, one buffer allocation per row — are paid once per
+// batch instead. The collectors (CollectCtx, Count) drive whole pipelines
+// batch by batch with cancellation checks at batch boundaries.
 
 // BatchSize is the default number of tuples moved per NextBatch call. Large
 // enough to amortize per-batch overheads, small enough that a batch of
 // typical tuples stays cache-resident.
 const BatchSize = 1024
-
-// BatchOperator is the batched extension of Operator. NextBatch fills
-// dst[:n] with up to len(dst) tuples and returns n; n == 0 means the stream
-// is exhausted (a non-empty stream never returns an empty batch early). The
-// returned tuples remain valid until the next NextBatch or Next call on the
-// operator — consumers that retain tuples across batches must clone them,
-// exactly as with Next.
-type BatchOperator interface {
-	Operator
-	NextBatch(dst []table.Tuple) (int, error)
-}
-
-// NextBatch pulls up to len(dst) tuples from op: natively when op implements
-// BatchOperator, otherwise through a Next loop that clones each tuple (a
-// Next-only operator may reuse one internal buffer across calls, which would
-// alias every slot of the batch).
-func NextBatch(op Operator, dst []table.Tuple) (int, error) {
-	if b, ok := op.(BatchOperator); ok {
-		return b.NextBatch(dst)
-	}
-	n := 0
-	for n < len(dst) {
-		t, ok, err := op.Next()
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		dst[n] = t.Clone()
-		n++
-	}
-	return n, nil
-}
 
 // StableTuples marks operators whose emitted tuples stay valid for the
 // operator's whole lifetime (they never reuse tuple storage): in-memory and
@@ -108,14 +73,13 @@ func batchScratch(buf []table.Tuple, want int) []table.Tuple {
 }
 
 // fillBatch adapts a tuple-at-a-time source to one batch without cloning:
-// it pulls next(i) into dst[i] until dst is full or the source dries up.
-// Operators whose sources already satisfy the batch validity contract
-// (stable emissions, or per-slot buffers selected by i) build their
-// NextBatch on it.
-func fillBatch(dst []table.Tuple, next func(i int) (table.Tuple, bool, error)) (int, error) {
+// it pulls next() into dst until dst is full or the source dries up.
+// Operators whose sources emit stable tuples (sorted streams, heap-file
+// decodes, fresh group rows) build their NextBatch on it.
+func fillBatch(dst []table.Tuple, next func() (table.Tuple, bool, error)) (int, error) {
 	n := 0
 	for n < len(dst) {
-		t, ok, err := next(n)
+		t, ok, err := next()
 		if err != nil {
 			return 0, err
 		}
@@ -143,7 +107,7 @@ func drainCtx(ctx context.Context, op Operator, batchSize int, emit func(table.T
 		if ctx != nil && ctx.Err() != nil {
 			return ctx.Err()
 		}
-		n, err := NextBatch(op, buf)
+		n, err := op.NextBatch(buf)
 		if err != nil {
 			return err
 		}
@@ -209,7 +173,7 @@ func Count(op Operator) (int64, error) {
 	var n int64
 	buf := make([]table.Tuple, BatchSize)
 	for {
-		k, err := NextBatch(op, buf)
+		k, err := op.NextBatch(buf)
 		if err != nil {
 			return 0, err
 		}

@@ -265,7 +265,7 @@ func (f *faultyOp) NextBatch(dst []table.Tuple) (int, error) {
 	if f.calls == f.failAt && f.batchErr != nil {
 		return 0, f.batchErr
 	}
-	n, err := NextBatch(f.Operator, dst)
+	n, err := f.Operator.NextBatch(dst)
 	if f.calls == f.failAt && f.cancel != nil {
 		f.cancel()
 	}

@@ -424,7 +424,6 @@ type ColToRows struct {
 	pos   int
 	n     int
 	slots slotBufs
-	one   [1]table.Tuple
 }
 
 // NewColToRows wraps a columnar operator as a row operator.
@@ -443,15 +442,6 @@ func (a *ColToRows) Open() error {
 	}
 	a.pos, a.n = 0, 0
 	return nil
-}
-
-// Next yields the next row.
-func (a *ColToRows) Next() (table.Tuple, bool, error) {
-	n, err := a.NextBatch(a.one[:])
-	if err != nil || n == 0 {
-		return nil, false, err
-	}
-	return a.one[0], true, nil
 }
 
 // NextBatch materializes rows out of the current column batch, refilling it

@@ -218,12 +218,10 @@ func (j *ColHashJoin) Close() error {
 }
 
 // ColPartitionedHashJoin is the columnar PartitionedHashJoin: both inputs
-// are drained with their join-key hashes computed batch-wise, partitioned by
-// hash (the same assignment as table.PartitionOn, since the partition hash
-// IS the HashOn value), and the per-partition builds and probes reuse the
-// carried hashes instead of rehashing any row. The output is materialized in
-// partition order — byte-for-byte the row join's output — and streamed out
-// as column batches.
+// are drained with their join-key hashes computed batch-wise
+// (ColBatch.HashInto, bit-identical to the row twin's table.HashOn) and
+// joined by the same joinHashed body, so the output is byte-for-byte the
+// row join's; it is streamed out as column batches.
 type ColPartitionedHashJoin struct {
 	Left, Right         ColOperator
 	LeftKeys, RightKeys []int
@@ -237,44 +235,26 @@ type ColPartitionedHashJoin struct {
 // Schema returns left ++ right.
 func (j *ColPartitionedHashJoin) Schema() *table.Schema { return j.out }
 
-// Open drains, partitions, and joins both inputs.
+// Open drains both inputs with their join-key hashes computed batch-wise
+// and joins them (joinHashed).
 func (j *ColPartitionedHashJoin) Open() error {
-	left, lh, err := colDrainHashed(j.Left, j.LeftKeys)
+	left, lh, err := colDrainHashed(j.Ctx, j.Left, j.LeftKeys)
 	if err != nil {
 		return err
 	}
-	right, rh, err := colDrainHashed(j.Right, j.RightKeys)
+	right, rh, err := colDrainHashed(j.Ctx, j.Right, j.RightKeys)
 	if err != nil {
 		return err
 	}
-	// Same serial cutoff as the row join: the switch depends only on the
-	// input sizes, never on the worker count, so output order is preserved.
-	if len(left)+len(right) < ParallelMinRows {
-		j.rows = joinPartitionHashed(left, lh, right, rh, j.LeftKeys, j.RightKeys)
-		j.pos = 0
-		return nil
-	}
-	lParts, lhParts := partitionHashed(left, lh)
-	rParts, rhParts := partitionHashed(right, rh)
-	outs := make([][]table.Tuple, joinPartitions)
-	err = j.Pool.Do(j.Ctx, joinPartitions, func(p int) error {
-		outs[p] = joinPartitionHashed(lParts[p], lhParts[p], rParts[p], rhParts[p], j.LeftKeys, j.RightKeys)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	j.rows = j.rows[:0]
-	for _, part := range outs {
-		j.rows = append(j.rows, part...)
-	}
+	j.rows, err = joinHashed(j.Ctx, j.Pool, left, lh, right, rh, j.LeftKeys, j.RightKeys)
 	j.pos = 0
-	return nil
+	return err
 }
 
 // colDrainHashed materializes a columnar operator's stream (opening and
-// closing it) along with each row's join-key hash, computed batch-wise.
-func colDrainHashed(op ColOperator, keys []int) ([]table.Tuple, []uint64, error) {
+// closing it) along with each row's join-key hash, computed batch-wise. The
+// context (if any) is checked once per batch.
+func colDrainHashed(ctx context.Context, op ColOperator, keys []int) ([]table.Tuple, []uint64, error) {
 	if err := op.Open(); err != nil {
 		return nil, nil, err
 	}
@@ -285,6 +265,9 @@ func colDrainHashed(op ColOperator, keys []int) ([]table.Tuple, []uint64, error)
 	var rows []table.Tuple
 	var all, batch []uint64
 	for {
+		if ctx != nil && ctx.Err() != nil {
+			return nil, nil, ctx.Err()
+		}
 		n, err := op.NextColBatch(b)
 		if err != nil {
 			return nil, nil, err
@@ -300,52 +283,6 @@ func colDrainHashed(op ColOperator, keys []int) ([]table.Tuple, []uint64, error)
 		}
 		all = append(all, batch...)
 	}
-}
-
-// partitionHashed splits rows by hash into joinPartitions buckets,
-// preserving input order within each — exactly table.PartitionOn's
-// assignment, with the hashes carried instead of recomputed.
-func partitionHashed(rows []table.Tuple, hashes []uint64) ([][]table.Tuple, [][]uint64) {
-	parts := make([][]table.Tuple, joinPartitions)
-	hparts := make([][]uint64, joinPartitions)
-	for i, t := range rows {
-		p := int(hashes[i] % joinPartitions)
-		parts[p] = append(parts[p], t)
-		hparts[p] = append(hparts[p], hashes[i])
-	}
-	return parts, hparts
-}
-
-// joinPartitionHashed is joinPartition with every row's hash precomputed:
-// builds with AddHashed, probes with LookupHashed, emits left-order matches
-// First then Rest into slab storage.
-func joinPartitionHashed(left []table.Tuple, lh []uint64, right []table.Tuple, rh []uint64, lk, rk []int) []table.Tuple {
-	if len(left) == 0 || len(right) == 0 {
-		return nil
-	}
-	built := table.NewTupleMap(rk, len(right))
-	for i, t := range right {
-		built.AddHashed(rh[i], t)
-	}
-	var out []table.Tuple
-	var slab table.Slab
-	emit := func(l, r table.Tuple) {
-		row := slab.Alloc(len(l) + len(r))
-		copy(row, l)
-		copy(row[len(l):], r)
-		out = append(out, row)
-	}
-	for i, l := range left {
-		g, ok := built.LookupHashed(lh[i], l, lk)
-		if !ok {
-			continue
-		}
-		emit(l, g.First)
-		for _, r := range g.Rest {
-			emit(l, r)
-		}
-	}
-	return out
 }
 
 // NextColBatch streams the materialized join result as column batches.

@@ -230,6 +230,83 @@ func TestMergeJoinAsymmetricKeyLayouts(t *testing.T) {
 	}
 }
 
+// TestMergeJoinBatchBoundaries joins inputs whose equal-key runs cross the
+// children's batch refills: a 1,500-row right block and a 1,500-row left
+// run (both longer than BatchSize), and runs that straddle a refill on each
+// side. With unstable children (a Project over a MemScan reuses its slot
+// buffers on every batch) a buffered block that is not cloned would be
+// overwritten by the next right batch. The result must equal a nested-loop
+// join, row for row, at every collector batch size.
+func TestMergeJoinBatchBoundaries(t *testing.T) {
+	type run struct{ key, n int64 }
+	build := func(name string, runs []run) *table.Relation {
+		var pairs [][2]int64
+		for _, r := range runs {
+			for i := int64(0); i < r.n; i++ {
+				pairs = append(pairs, [2]int64{r.key, int64(len(pairs))})
+			}
+		}
+		return pairRel("k", name, pairs...)
+	}
+	var lr, rr []run
+	for k := int64(0); k < 200; k++ {
+		lr = append(lr, run{k, 5})
+		if k%7 != 0 {
+			rr = append(rr, run{k, 3})
+		}
+	}
+	// Left rows 1000..1049 and right rows 513..2012 hold key 200: a left run
+	// across the first left refill, a right block longer than a batch and
+	// across the first right refill. Key 201 is a 1,500-row left run across
+	// the second left refill; key 202's right block crosses the second right
+	// refill.
+	lr = append(lr, run{200, 50}, run{201, 1500}, run{202, 3}, run{204, 4})
+	rr = append(rr, run{200, 1500}, run{201, 2}, run{202, 40}, run{203, 5}, run{204, 1})
+	l, r := build("x", lr), build("y", rr)
+
+	var want []table.Tuple
+	for _, lt := range l.Rows {
+		for _, rt := range r.Rows {
+			if lt[0].I == rt[0].I {
+				want = append(want, append(lt.Clone(), rt...))
+			}
+		}
+	}
+	for _, unstable := range []bool{true, false} {
+		child := func(rel *table.Relation) Operator {
+			if !unstable {
+				return NewMemScan(rel)
+			}
+			p, err := NewColumnProject(NewMemScan(rel), rel.Schema.Names())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		for _, bs := range []int{1, 7, 1024} {
+			mj, err := NewMergeJoin(child(l), child(r), []int{0}, []int{0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if Stable(mj.Left) == unstable || Stable(mj.Right) == unstable {
+				t.Fatalf("unstable=%v: children report stable=%v/%v", unstable, Stable(mj.Left), Stable(mj.Right))
+			}
+			got, err := CollectCtxBatch(nil, mj, bs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Len() != len(want) {
+				t.Fatalf("unstable=%v batch %d: %d rows, want %d", unstable, bs, got.Len(), len(want))
+			}
+			for i, row := range got.Rows {
+				if table.CompareOn(row, want[i], []int{0, 1, 2, 3}) != 0 {
+					t.Fatalf("unstable=%v batch %d: row %d = %v, want %v", unstable, bs, i, row, want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestSortOperator(t *testing.T) {
 	rel := pairRel("a", "b", [2]int64{3, 1}, [2]int64{1, 2}, [2]int64{2, 3}, [2]int64{1, 1})
 	s := NewSort(NewMemScan(rel), SortSpec{Cols: []int{0, 1}})

@@ -1,16 +1,17 @@
-// Package engine is the relational query executor: Volcano-style iterators
-// (scan, filter, project, hash/merge join, external sort, group-by,
-// distinct) over the table data model. It plays the role of the
+// Package engine is the relational query executor: batch-at-a-time
+// Volcano iterators (scan, filter, project, hash/merge join, external sort,
+// group-by, distinct) over the table data model. It plays the role of the
 // PostgreSQL executor that SPROUT extends — the confidence operator in
 // internal/conf consumes the sorted tuple streams produced here.
 //
-// The hot paths are allocation-conscious: every core operator implements
-// the batched BatchOperator extension (batch.go), moving tuples in batches
-// of BatchSize through reused buffers with cancellation checks at batch
-// boundaries, and all tuple-keyed equality state (hash-join build sides,
-// duplicate elimination) lives in the hash-keyed containers of
-// internal/table (TupleMap/TupleSet) — FNV hashes with Compare-based
-// collision chains, so equal keys never allocate. Operators that never
+// The hot paths are allocation-conscious: Operator has a single pull
+// method, NextBatch, which moves tuples in batches of up to BatchSize
+// through reused buffers, with cancellation checks at batch boundaries
+// (batch.go); there is no tuple-at-a-time protocol. All tuple-keyed
+// equality state (hash-join build sides, duplicate elimination) lives in
+// the hash-keyed containers of internal/table (TupleMap/TupleSet) — FNV
+// hashes with Compare-based collision chains, so equal keys never
+// allocate. Operators that never
 // reuse tuple storage advertise it through StableTuples, which lets the
 // collectors skip defensive clones; the rest clone through table.Slab.
 //

@@ -29,35 +29,6 @@ type preOpened struct {
 
 func (preOpened) Open() error { return nil }
 
-// iterOp adapts a sorted TupleIterator (an external sorter's output) into
-// an Operator; Close releases the iterator, removing any spill runs.
-type iterOp struct {
-	schema *table.Schema
-	it     storage.TupleIterator
-}
-
-func (o *iterOp) Schema() *table.Schema { return o.schema }
-func (o *iterOp) Open() error           { return nil }
-func (o *iterOp) Next() (table.Tuple, bool, error) {
-	if o.it == nil {
-		return nil, false, nil
-	}
-	return o.it.Next()
-}
-
-// StableTuples: sorted streams own their tuples (in-memory buffer or fresh
-// spill-file decodes), matching Sort's contract.
-func (o *iterOp) StableTuples() bool { return true }
-
-func (o *iterOp) Close() error {
-	if o.it == nil {
-		return nil
-	}
-	err := o.it.Close()
-	o.it = nil
-	return err
-}
-
 // buildGoverned drains op into a TupleMap, charging gov in joinMemChunk
 // steps. On a denied reservation it stops at a batch boundary and returns
 // pressured=true along with every tuple drained so far (in input order, so
@@ -76,7 +47,7 @@ func buildGoverned(op Operator, keys []int, gov *fault.Governor) (built *table.T
 	stable := Stable(op)
 	var slab table.Slab
 	for {
-		n, err := NextBatch(op, buf)
+		n, err := op.NextBatch(buf)
 		if err != nil {
 			release()
 			return nil, nil, false, err

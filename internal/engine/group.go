@@ -175,7 +175,7 @@ func (g *SortedGroupBy) Open() error {
 func (g *SortedGroupBy) nextInput() (table.Tuple, bool, error) {
 	if g.inPos >= g.inN {
 		g.in = batchScratch(g.in, BatchSize)
-		n, err := NextBatch(g.In, g.in)
+		n, err := g.In.NextBatch(g.in)
 		if err != nil || n == 0 {
 			return nil, false, err
 		}
@@ -186,8 +186,15 @@ func (g *SortedGroupBy) nextInput() (table.Tuple, bool, error) {
 	return t, true, nil
 }
 
-// Next emits one aggregated row per group.
-func (g *SortedGroupBy) Next() (table.Tuple, bool, error) {
+// NextBatch emits aggregated rows. Emitted rows are freshly built (one per
+// group), so they are stable.
+func (g *SortedGroupBy) NextBatch(dst []table.Tuple) (int, error) {
+	return fillBatch(dst, g.nextGroup)
+}
+
+// nextGroup aggregates input rows up to the next group boundary and emits
+// the finished group.
+func (g *SortedGroupBy) nextGroup() (table.Tuple, bool, error) {
 	if g.done {
 		return nil, false, nil
 	}
@@ -227,12 +234,6 @@ func (g *SortedGroupBy) Next() (table.Tuple, bool, error) {
 		g.have = false
 		return out, true, nil
 	}
-}
-
-// NextBatch emits aggregated rows. Emitted rows are freshly built (one per
-// group), so they are stable.
-func (g *SortedGroupBy) NextBatch(dst []table.Tuple) (int, error) {
-	return fillBatch(dst, func(int) (table.Tuple, bool, error) { return g.Next() })
 }
 
 // StableTuples: every emitted row is a fresh per-group tuple.
@@ -291,24 +292,11 @@ func (d *HashDistinct) Open() error {
 	return d.In.Open()
 }
 
-// Next yields the next previously-unseen tuple.
-func (d *HashDistinct) Next() (table.Tuple, bool, error) {
-	for {
-		t, ok, err := d.In.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if _, added := d.seen.Add(t, !d.stable); added {
-			return t, true, nil
-		}
-	}
-}
-
 // NextBatch pulls an input batch into dst and compacts the first-seen
 // tuples in place.
 func (d *HashDistinct) NextBatch(dst []table.Tuple) (int, error) {
 	for {
-		n, err := NextBatch(d.In, dst)
+		n, err := d.In.NextBatch(dst)
 		if err != nil || n == 0 {
 			return 0, err
 		}

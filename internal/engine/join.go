@@ -42,7 +42,6 @@ type HashJoin struct {
 	curProbe           table.Tuple
 	curPos             int
 	slots              slotBufs
-	one                [1]table.Tuple
 }
 
 // NewHashJoin joins left and right on pairwise-equal key columns.
@@ -161,7 +160,7 @@ func (j *HashJoin) openRaced() error {
 	for side := range pull {
 		op, stable := ops[side], Stable(ops[side])
 		pull[side] = func() (int, error) {
-			n, err := NextBatch(op, batch)
+			n, err := op.NextBatch(batch)
 			for _, t := range batch[:n] {
 				if !stable {
 					t = slab.Clone(t)
@@ -198,15 +197,6 @@ func (j *HashJoin) openRaced() error {
 	return nil
 }
 
-// Next yields the next joined tuple.
-func (j *HashJoin) Next() (table.Tuple, bool, error) {
-	n, err := j.NextBatch(j.one[:])
-	if err != nil || n == 0 {
-		return nil, false, err
-	}
-	return j.one[0], true, nil
-}
-
 // NextBatch fills dst with joined tuples built in reused per-slot buffers.
 // The current probe tuple references the join's probe batch, which is only
 // refilled once its matches are exhausted, so no probe-side clone is needed.
@@ -235,7 +225,7 @@ func (j *HashJoin) NextBatch(dst []table.Tuple) (int, error) {
 		}
 		if j.inPos >= j.inN {
 			j.in = batchScratch(j.in, BatchSize)
-			k, err := NextBatch(j.probe, j.in)
+			k, err := j.probe.NextBatch(j.in)
 			if err != nil {
 				return 0, err
 			}
@@ -287,21 +277,60 @@ func (j *HashJoin) Close() error {
 // merge joins attractive right below the confidence operator, whose input
 // must be sorted anyway (§V.B: "the order of tuples after most joins favours
 // grouping and thus our operator").
+//
+// Both inputs are read batch by batch through reused cursors. The current
+// left and right tuples are never retained past their own batch, so they
+// are read in place; a buffered right block can outlive the right batch it
+// came from and is slab-cloned unless the right input promises StableTuples.
 type MergeJoin struct {
 	Left, Right         Operator
 	LeftKeys, RightKeys []int
 	out                 *table.Schema
 
-	l         table.Tuple
-	lOK       bool
-	r         table.Tuple
-	rOK       bool
-	block     []table.Tuple // buffered right block with equal keys
-	blockKey  table.Tuple
-	blockPos  int
-	inBlock   bool
-	endOfLeft bool
-	slots     slotBufs
+	l, r     mergeCursor
+	rStable  bool
+	block    []table.Tuple // buffered right block with equal keys; block[0] is its key
+	blockPos int
+	inBlock  bool
+	slab     table.Slab // block clones of an unstable right input
+	slots    slotBufs
+}
+
+// mergeCursor reads one input of a MergeJoin batch by batch. t is the tuple
+// under the cursor (ok=false once the input is exhausted); it lives in the
+// cursor's current batch, which is refilled only when advance moves past its
+// last tuple.
+type mergeCursor struct {
+	op     Operator
+	buf    []table.Tuple
+	n, pos int
+	t      table.Tuple
+	ok     bool
+}
+
+// open binds the cursor to op and moves it onto the first tuple.
+func (c *mergeCursor) open(op Operator) error {
+	c.op, c.buf, c.n, c.pos = op, batchScratch(c.buf, BatchSize), 0, 0
+	return c.advance()
+}
+
+// advance moves the cursor to the next input tuple.
+func (c *mergeCursor) advance() error {
+	if c.pos >= c.n {
+		n, err := c.op.NextBatch(c.buf)
+		if err != nil {
+			return err
+		}
+		c.n, c.pos = n, 0
+	}
+	c.ok = c.pos < c.n
+	c.t = nil
+	if c.ok {
+		//sproutvet:allow batchalias the cursor tuple is read only until advance moves past it, and the batch is refilled only after its last tuple
+		c.t = c.buf[c.pos]
+		c.pos++
+	}
+	return nil
 }
 
 // NewMergeJoin joins sorted inputs on pairwise-equal key columns.
@@ -329,35 +358,19 @@ func (j *MergeJoin) Open() error {
 		j.Left.Close()
 		return err
 	}
-	var err error
-	if err = j.advanceLeft(); err != nil {
+	if err := j.l.open(j.Left); err != nil {
 		j.Left.Close()
 		j.Right.Close()
 		return err
 	}
-	j.r, j.rOK, err = j.Right.Next()
-	if err != nil {
+	if err := j.r.open(j.Right); err != nil {
 		j.Left.Close()
 		j.Right.Close()
 		return err
 	}
-	if j.rOK {
-		j.r = j.r.Clone()
-	}
-	j.block = nil
+	j.rStable = Stable(j.Right)
+	j.block = j.block[:0]
 	j.inBlock = false
-	return nil
-}
-
-func (j *MergeJoin) advanceLeft() error {
-	t, ok, err := j.Left.Next()
-	if err != nil {
-		return err
-	}
-	j.lOK = ok
-	if ok {
-		j.l = t.Clone()
-	}
 	return nil
 }
 
@@ -382,82 +395,67 @@ func (j *MergeJoin) cmpRightKeys(a, b table.Tuple) int {
 	return 0
 }
 
-// Next yields the next joined tuple.
-func (j *MergeJoin) Next() (table.Tuple, bool, error) { return j.next(0) }
-
-// next emits the next joined tuple into slot buffer i.
-func (j *MergeJoin) next(slot int) (table.Tuple, bool, error) {
-	for {
+// NextBatch emits joined tuples into reused per-slot buffers.
+func (j *MergeJoin) NextBatch(dst []table.Tuple) (int, error) {
+	n := 0
+	for n < len(dst) {
 		if j.inBlock {
 			if j.blockPos < len(j.block) {
-				r := j.block[j.blockPos]
+				buf := j.slots.slot(n, j.out.Len())
+				copy(buf, j.l.t)
+				copy(buf[len(j.l.t):], j.block[j.blockPos])
+				dst[n] = buf
 				j.blockPos++
-				return j.combine(slot, j.l, r), true, nil
+				n++
+				continue
 			}
-			// Done pairing current left tuple with the block; advance left.
-			if err := j.advanceLeft(); err != nil {
-				return nil, false, err
+			// Done pairing the current left tuple with the block; advance left.
+			if err := j.l.advance(); err != nil {
+				return 0, err
 			}
-			if j.lOK && j.cmpKeys(j.l, j.blockKey) == 0 {
+			if j.l.ok && j.cmpKeys(j.l.t, j.block[0]) == 0 {
 				j.blockPos = 0
 				continue
 			}
 			j.inBlock = false
-			j.block = nil
 		}
-		if !j.lOK || !j.rOK {
-			return nil, false, nil
+		if !j.l.ok || !j.r.ok {
+			break
 		}
-		c := j.cmpKeys(j.l, j.r)
+		c := j.cmpKeys(j.l.t, j.r.t)
 		switch {
 		case c < 0:
-			if err := j.advanceLeft(); err != nil {
-				return nil, false, err
+			if err := j.l.advance(); err != nil {
+				return 0, err
 			}
 		case c > 0:
-			t, ok, err := j.Right.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			j.rOK = ok
-			if ok {
-				j.r = t.Clone()
+			if err := j.r.advance(); err != nil {
+				return 0, err
 			}
 		default:
-			// Buffer the whole right block with this key.
+			// Buffer the whole right block with this key; it may span
+			// several right batches.
 			j.block = j.block[:0]
-			j.blockKey = j.r.Clone()
-			for j.rOK && j.cmpRightKeys(j.blockKey, j.r) == 0 {
-				j.block = append(j.block, j.r)
-				t, ok, err := j.Right.Next()
-				if err != nil {
-					return nil, false, err
+			for j.r.ok && (len(j.block) == 0 || j.cmpRightKeys(j.block[0], j.r.t) == 0) {
+				t := j.r.t
+				if !j.rStable {
+					t = j.slab.Clone(t)
 				}
-				j.rOK = ok
-				if ok {
-					j.r = t.Clone()
+				j.block = append(j.block, t) //sproutvet:allow batchalias t is slab-cloned above unless the right input promises StableTuples — drainCtx's conditional-stability idiom
+				if err := j.r.advance(); err != nil {
+					return 0, err
 				}
 			}
 			j.blockPos = 0
 			j.inBlock = true
 		}
 	}
-}
-
-// NextBatch emits joined tuples into reused per-slot buffers.
-func (j *MergeJoin) NextBatch(dst []table.Tuple) (int, error) {
-	return fillBatch(dst, j.next)
-}
-
-func (j *MergeJoin) combine(slot int, l, r table.Tuple) table.Tuple {
-	buf := j.slots.slot(slot, j.out.Len())
-	copy(buf, l)
-	copy(buf[len(l):], r)
-	return buf
+	return n, nil
 }
 
 // Close closes both inputs.
 func (j *MergeJoin) Close() error {
+	j.l.t, j.r.t, j.block, j.slab = nil, nil, nil, table.Slab{}
 	errL := j.Left.Close()
 	errR := j.Right.Close()
 	if errL != nil {

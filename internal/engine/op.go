@@ -7,17 +7,17 @@ import (
 	"repro/internal/table"
 )
 
-// Operator is the Volcano iterator interface. Open prepares the pipeline,
-// Next pulls one tuple at a time (ok=false at end of stream), Close releases
-// resources. Tuples returned by Next may alias internal buffers; operators
-// that retain tuples across Next calls must Clone them. Every core operator
-// additionally implements BatchOperator (batch.go), which moves tuples in
-// batches of up to BatchSize through reused buffers — the allocation-free
-// fast path the collectors drive.
+// Operator is the row engine's batched Volcano iterator. Open prepares the
+// pipeline and Close releases its resources. NextBatch fills dst[:n] with up
+// to len(dst) tuples and returns n; n == 0 means the stream is exhausted (a
+// non-empty stream never returns an empty batch early). The returned tuples
+// may live in reused buffers: they stay valid only until the next NextBatch
+// call on the same operator, so a consumer that retains a tuple past that
+// point clones it — unless the operator promises StableTuples (batch.go).
 type Operator interface {
 	Schema() *table.Schema
 	Open() error
-	Next() (table.Tuple, bool, error)
+	NextBatch(dst []table.Tuple) (int, error)
 	Close() error
 }
 
@@ -35,16 +35,6 @@ func (s *MemScan) Schema() *table.Schema { return s.Rel.Schema }
 
 // Open resets the cursor.
 func (s *MemScan) Open() error { s.pos = 0; return nil }
-
-// Next yields the next row.
-func (s *MemScan) Next() (table.Tuple, bool, error) {
-	if s.pos >= len(s.Rel.Rows) {
-		return nil, false, nil
-	}
-	t := s.Rel.Rows[s.pos]
-	s.pos++
-	return t, true, nil
-}
 
 // NextBatch copies up to len(dst) row references out of the relation.
 func (s *MemScan) NextBatch(dst []table.Tuple) (int, error) {
@@ -82,8 +72,13 @@ func (s *HeapScan) Open() error {
 	return nil
 }
 
-// Next yields the next stored tuple.
-func (s *HeapScan) Next() (table.Tuple, bool, error) {
+// NextBatch decodes up to len(dst) stored tuples.
+func (s *HeapScan) NextBatch(dst []table.Tuple) (int, error) {
+	return fillBatch(dst, s.next)
+}
+
+// next decodes one stored tuple, checking its arity against the schema.
+func (s *HeapScan) next() (table.Tuple, bool, error) {
 	t, ok, err := s.sc.Next()
 	if err != nil || !ok {
 		return nil, false, err
@@ -92,11 +87,6 @@ func (s *HeapScan) Next() (table.Tuple, bool, error) {
 		return nil, false, fmt.Errorf("engine: heap tuple arity %d != schema arity %d", len(t), s.schema.Len())
 	}
 	return t, true, nil
-}
-
-// NextBatch decodes up to len(dst) stored tuples.
-func (s *HeapScan) NextBatch(dst []table.Tuple) (int, error) {
-	return fillBatch(dst, func(int) (table.Tuple, bool, error) { return s.Next() })
 }
 
 // StableTuples: the scanner decodes into arena storage it never reuses.
@@ -126,24 +116,11 @@ func (f *Filter) Schema() *table.Schema { return f.In.Schema() }
 // Open opens the input.
 func (f *Filter) Open() error { return f.In.Open() }
 
-// Next yields the next qualifying tuple.
-func (f *Filter) Next() (table.Tuple, bool, error) {
-	for {
-		t, ok, err := f.In.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if f.Pred.Holds(t) {
-			return t, true, nil
-		}
-	}
-}
-
 // NextBatch pulls an input batch into dst and compacts the qualifying
 // tuples in place — no copies, no allocation.
 func (f *Filter) NextBatch(dst []table.Tuple) (int, error) {
 	for {
-		n, err := NextBatch(f.In, dst)
+		n, err := f.In.NextBatch(dst)
 		if err != nil || n == 0 {
 			return 0, err
 		}
@@ -209,23 +186,10 @@ func (p *Project) Schema() *table.Schema { return p.Out }
 // Open opens the input.
 func (p *Project) Open() error { return p.In.Open() }
 
-// Next computes the next projected tuple.
-func (p *Project) Next() (table.Tuple, bool, error) {
-	t, ok, err := p.In.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	buf := p.slots.slot(0, len(p.Exprs))
-	for i, e := range p.Exprs {
-		buf[i] = e.Eval(t)
-	}
-	return buf, true, nil
-}
-
 // NextBatch evaluates the projection into reused per-slot buffers.
 func (p *Project) NextBatch(dst []table.Tuple) (int, error) {
 	p.in = batchScratch(p.in, len(dst))
-	n, err := NextBatch(p.In, p.in)
+	n, err := p.In.NextBatch(p.in)
 	if err != nil || n == 0 {
 		return 0, err
 	}

@@ -130,8 +130,8 @@ func drainStable(ctx context.Context, op Operator) (*table.Relation, error) {
 	return CollectCtx(ctx, op)
 }
 
-// Open drains and partitions both inputs and joins the partitions in
-// parallel.
+// Open drains both inputs, hashes every row's join key once, and joins
+// them (joinHashed).
 func (j *PartitionedHashJoin) Open() error {
 	left, err := drainStable(j.Ctx, j.Left)
 	if err != nil {
@@ -141,43 +141,83 @@ func (j *PartitionedHashJoin) Open() error {
 	if err != nil {
 		return err
 	}
-	// Small inputs skip the partitioning: one serial build+probe costs less
-	// than 16-way hashing plus pool dispatch. The switch depends only on
-	// the input (never on the worker count), so the output order stays a
-	// deterministic function of the inputs.
-	if left.Len()+right.Len() < ParallelMinRows {
-		j.rows = joinPartition(left.Rows, right.Rows, j.LeftKeys, j.RightKeys)
-		j.pos = 0
-		return nil
+	j.rows, err = joinHashed(j.Ctx, j.Pool,
+		left.Rows, hashRows(left.Rows, j.LeftKeys),
+		right.Rows, hashRows(right.Rows, j.RightKeys),
+		j.LeftKeys, j.RightKeys)
+	j.pos = 0
+	return err
+}
+
+// hashRows computes every row's table.HashOn over the key columns.
+func hashRows(rows []table.Tuple, keys []int) []uint64 {
+	hashes := make([]uint64, len(rows))
+	for i, t := range rows {
+		hashes[i] = table.HashOn(t, keys)
 	}
-	lParts := table.PartitionOn(left.Rows, j.LeftKeys, joinPartitions)
-	rParts := table.PartitionOn(right.Rows, j.RightKeys, joinPartitions)
+	return hashes
+}
+
+// joinHashed is the body both partitioned joins share, over materialized
+// inputs whose join-key hashes (table.HashOn) are carried alongside: split
+// both sides by hash into joinPartitions parts, build and probe each part on
+// the pool, and concatenate the outputs in partition order. Matching keys
+// land in the same partition by construction. Small inputs skip the
+// partitioning: one serial build+probe costs less than 16-way hashing plus
+// pool dispatch. The switch depends only on the input sizes (never on the
+// worker count), so the output order stays a deterministic function of the
+// inputs.
+func joinHashed(ctx context.Context, p *pool.Pool, left []table.Tuple, lh []uint64, right []table.Tuple, rh []uint64, lk, rk []int) ([]table.Tuple, error) {
+	if len(left)+len(right) < ParallelMinRows {
+		return joinPartitionHashed(left, lh, right, rh, lk, rk), nil
+	}
+	lParts, lhParts := partitionHashed(left, lh)
+	rParts, rhParts := partitionHashed(right, rh)
 	outs := make([][]table.Tuple, joinPartitions)
-	err = j.Pool.Do(j.Ctx, joinPartitions, func(p int) error {
-		outs[p] = joinPartition(lParts[p], rParts[p], j.LeftKeys, j.RightKeys)
+	err := p.Do(ctx, joinPartitions, func(i int) error {
+		outs[i] = joinPartitionHashed(lParts[i], lhParts[i], rParts[i], rhParts[i], lk, rk)
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	j.rows = j.rows[:0]
+	total := 0
 	for _, part := range outs {
-		j.rows = append(j.rows, part...)
+		total += len(part)
 	}
-	j.pos = 0
-	return nil
+	rows := make([]table.Tuple, 0, total)
+	for _, part := range outs {
+		rows = append(rows, part...)
+	}
+	return rows, nil
 }
 
-// joinPartition builds a hash table over the right rows and probes with the
-// left rows in order — one partition's worth of HashJoin. Output rows are
-// allocated from a per-partition slab (they are retained by the caller).
-func joinPartition(left, right []table.Tuple, lk, rk []int) []table.Tuple {
+// partitionHashed splits rows by hash into joinPartitions buckets,
+// preserving input order within each — exactly table.PartitionOn's
+// assignment, with the hashes carried instead of recomputed.
+func partitionHashed(rows []table.Tuple, hashes []uint64) ([][]table.Tuple, [][]uint64) {
+	parts := make([][]table.Tuple, joinPartitions)
+	hparts := make([][]uint64, joinPartitions)
+	for i, t := range rows {
+		p := int(hashes[i] % joinPartitions)
+		parts[p] = append(parts[p], t)
+		hparts[p] = append(hparts[p], hashes[i])
+	}
+	return parts, hparts
+}
+
+// joinPartitionHashed joins one partition: it builds a hash table over the
+// right rows and probes it with the left rows in order, reusing the carried
+// hashes (AddHashed, LookupHashed), and emits each left row's matches First
+// then Rest. Output rows are allocated from a per-partition slab (they are
+// retained by the caller).
+func joinPartitionHashed(left []table.Tuple, lh []uint64, right []table.Tuple, rh []uint64, lk, rk []int) []table.Tuple {
 	if len(left) == 0 || len(right) == 0 {
 		return nil
 	}
 	built := table.NewTupleMap(rk, len(right))
-	for _, t := range right {
-		built.Add(t)
+	for i, t := range right {
+		built.AddHashed(rh[i], t)
 	}
 	var out []table.Tuple
 	var slab table.Slab
@@ -187,8 +227,8 @@ func joinPartition(left, right []table.Tuple, lk, rk []int) []table.Tuple {
 		copy(row[len(l):], r)
 		out = append(out, row)
 	}
-	for _, l := range left {
-		g, ok := built.Lookup(l, lk)
+	for i, l := range left {
+		g, ok := built.LookupHashed(lh[i], l, lk)
 		if !ok {
 			continue
 		}
@@ -198,16 +238,6 @@ func joinPartition(left, right []table.Tuple, lk, rk []int) []table.Tuple {
 		}
 	}
 	return out
-}
-
-// Next streams the materialized join result.
-func (j *PartitionedHashJoin) Next() (table.Tuple, bool, error) {
-	if j.pos >= len(j.rows) {
-		return nil, false, nil
-	}
-	t := j.rows[j.pos]
-	j.pos++
-	return t, true, nil
 }
 
 // NextBatch streams the materialized join result.

@@ -46,7 +46,8 @@ func rowMultiset(rel *table.Relation) map[string]int {
 
 // TestPartitionedHashJoinMatchesHashJoin: the partitioned join produces the
 // same multiset of rows as the classic hash join, and its row order is
-// identical for every worker count.
+// identical for every worker count and for its columnar twin
+// (ColPartitionedHashJoin, lowered by CollectCtxVec).
 func TestPartitionedHashJoinMatchesHashJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	left := randRel(rng, 5000, 200)
@@ -60,19 +61,31 @@ func TestPartitionedHashJoinMatchesHashJoin(t *testing.T) {
 	wantBag := rowMultiset(want)
 
 	var first *table.Relation
-	for _, workers := range []int{1, 2, 7} {
-		pj, err := NewPartitionedHashJoin(NewMemScan(left), NewMemScan(right), []int{0}, []int{0}, pool.New(workers), context.Background())
+	for _, tc := range []struct {
+		workers  int
+		columnar bool
+	}{{1, false}, {2, false}, {7, false}, {7, true}} {
+		pj, err := NewPartitionedHashJoin(NewMemScan(left), NewMemScan(right), []int{0}, []int{0}, pool.New(tc.workers), context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := collectAll(t, pj)
+		var got *table.Relation
+		if tc.columnar {
+			var columnar bool
+			got, columnar, err = CollectCtxVec(context.Background(), pj)
+			if err != nil || !columnar {
+				t.Fatalf("columnar twin: lowered=%v err=%v", columnar, err)
+			}
+		} else {
+			got = collectAll(t, pj)
+		}
 		if got.Len() != want.Len() {
-			t.Fatalf("workers=%d: %d rows, want %d", workers, got.Len(), want.Len())
+			t.Fatalf("%+v: %d rows, want %d", tc, got.Len(), want.Len())
 		}
 		bag := rowMultiset(got)
 		for k, n := range wantBag {
 			if bag[k] != n {
-				t.Fatalf("workers=%d: row %s count %d, want %d", workers, k, bag[k], n)
+				t.Fatalf("%+v: row %s count %d, want %d", tc, k, bag[k], n)
 			}
 		}
 		if first == nil {
@@ -81,7 +94,7 @@ func TestPartitionedHashJoinMatchesHashJoin(t *testing.T) {
 		}
 		for i := range got.Rows {
 			if got.Rows[i].String() != first.Rows[i].String() {
-				t.Fatalf("workers=%d: row %d order differs from workers=1", workers, i)
+				t.Fatalf("%+v: row %d order differs from workers=1", tc, i)
 			}
 		}
 	}
@@ -131,6 +144,19 @@ func TestCollectCtxCancellation(t *testing.T) {
 	cancel()
 	if _, err := CollectCtx(ctx, NewMemScan(rel)); err != context.Canceled {
 		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	// The columnar partitioned join drains its children under its own
+	// context, below the parallel cutoff too (no pool dispatch to notice).
+	pj, err := NewPartitionedHashJoin(NewMemScan(rel), NewMemScan(rel), []int{0}, []int{0}, pool.New(1), ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cj, ok := Columnarize(pj)
+	if !ok {
+		t.Fatal("partitioned join did not lower to the columnar tier")
+	}
+	if err := cj.Open(); err != context.Canceled {
+		t.Fatalf("columnar partitioned join Open: got %v, want context.Canceled", err)
 	}
 }
 

@@ -26,7 +26,7 @@ type Sort struct {
 	TmpDir string          // "" = os.TempDir()
 	Mem    *fault.Governor // optional memory governor: spill earlier under pressure
 
-	it     storage.TupleIterator
+	sorted iterOp // the sorter's output stream, set by Open
 	spills int
 }
 
@@ -61,38 +61,48 @@ func (s *Sort) Open() error {
 	if err != nil {
 		return err
 	}
-	s.it = it
+	s.sorted = iterOp{schema: s.In.Schema(), it: it}
 	s.spills = sorter.Spills()
 	return nil
 }
 
-// Next yields tuples in sorted order.
-func (s *Sort) Next() (table.Tuple, bool, error) {
-	if s.it == nil {
-		return nil, false, nil
-	}
-	return s.it.Next()
-}
-
 // NextBatch streams sorted tuples. The sorted stream owns its tuples (an
 // in-memory buffer or heap-file decodes), so batches are stable.
-func (s *Sort) NextBatch(dst []table.Tuple) (int, error) {
-	if s.it == nil {
-		return 0, nil
-	}
-	return fillBatch(dst, func(int) (table.Tuple, bool, error) { return s.it.Next() })
-}
+func (s *Sort) NextBatch(dst []table.Tuple) (int, error) { return s.sorted.NextBatch(dst) }
 
 // StableTuples: sorted tuples are owned by the sorter's materialized buffer
 // or decoded fresh from spill files; they are never overwritten.
 func (s *Sort) StableTuples() bool { return true }
 
 // Close releases the sorted stream (removing any spill files).
-func (s *Sort) Close() error {
-	if s.it == nil {
+func (s *Sort) Close() error { return s.sorted.Close() }
+
+// iterOp adapts a sorted TupleIterator (an external sorter's output) into
+// an Operator: Sort's output stream, and the grace join's sorted right
+// input. Close releases the iterator, removing any spill runs.
+type iterOp struct {
+	schema *table.Schema
+	it     storage.TupleIterator
+}
+
+func (o *iterOp) Schema() *table.Schema { return o.schema }
+func (o *iterOp) Open() error           { return nil }
+func (o *iterOp) NextBatch(dst []table.Tuple) (int, error) {
+	if o.it == nil {
+		return 0, nil
+	}
+	return fillBatch(dst, o.it.Next)
+}
+
+// StableTuples: sorted streams own their tuples (in-memory buffer or fresh
+// spill-file decodes), matching Sort's contract.
+func (o *iterOp) StableTuples() bool { return true }
+
+func (o *iterOp) Close() error {
+	if o.it == nil {
 		return nil
 	}
-	err := s.it.Close()
-	s.it = nil
+	err := o.it.Close()
+	o.it = nil
 	return err
 }

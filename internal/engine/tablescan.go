@@ -20,7 +20,6 @@ type TableScan struct {
 	// column.
 	need  []bool
 	slots slotBufs
-	one   [1]table.Tuple
 }
 
 // NewTableScan builds a scan over every row of a column store.
@@ -51,15 +50,6 @@ func (s *TableScan) NextColBatch(dst *table.ColBatch) (int, error) {
 	n := s.T.ReadChunk(s.pos/table.ChunkRows, s.need, dst)
 	s.pos += n
 	return n, nil
-}
-
-// Next yields the next row.
-func (s *TableScan) Next() (table.Tuple, bool, error) {
-	n, err := s.NextBatch(s.one[:])
-	if err != nil || n == 0 {
-		return nil, false, err
-	}
-	return s.one[0], true, nil
 }
 
 // NextBatch materializes up to len(dst) rows into reused slot buffers.

@@ -71,8 +71,8 @@ func (k Kind) String() string {
 }
 
 // Injected is the typed error every injected fault surfaces as. Transient
-// faults report themselves retryable; IsTransient drives both the
-// storage-level retry loop and the plan-level run retry.
+// faults report themselves retryable; IsTransient drives the storage-level
+// retry loop.
 type Injected struct {
 	Op        Op
 	Kind      Kind

@@ -183,11 +183,6 @@ type Spec struct {
 	// dying with context.DeadlineExceeded and nothing to show. 0 disables
 	// the watermark (deadline-exceeded runs fail, exactly as before).
 	Watermark time.Duration
-	// Retry re-runs a query whose failure is a transient injected I/O
-	// fault (fault.IsTransient), with capped exponential backoff and
-	// deterministic jitter. The zero value disables plan-level retries;
-	// storage-level retries are configured on the fault injector itself.
-	Retry fault.Retry
 }
 
 // Stats reports the execution breakdown the paper's figures use.
@@ -262,10 +257,6 @@ type Stats struct {
 	// DegradeReason names what degraded: "deadline", "memory", or
 	// "deadline+memory" ("" when Degraded is false).
 	DegradeReason string
-	// Retries counts plan-level re-runs after transient injected I/O
-	// faults (Spec.Retry); storage-level retries are counted by the
-	// injector, not here.
-	Retries int64
 }
 
 // markDegraded folds one degradation cause into the stats, combining
@@ -407,13 +398,12 @@ func (p *Prepared) Run(ctx context.Context) (*Result, error) {
 		reg.Counter("queries_style_"+p.spec.Style.String()+"_total").AddShard(h, 1)
 	}
 	reg.Gauge("queries_inflight").Add(1)
-	res, retries, err := p.runAttempts(ex, spec)
+	res, err := p.runRecovered(ex, spec)
 	reg.Gauge("queries_inflight").Add(-1)
 	if err != nil {
 		reg.Counter("queries_failed_total").AddShard(reg.ShardHint(), 1)
 		return nil, err
 	}
-	res.Stats.Retries = retries
 	if gov.Pressured() {
 		markDegraded(&res.Stats, "memory")
 	}
@@ -429,34 +419,10 @@ func (p *Prepared) Run(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// runAttempts executes the prepared plan up to Spec.Retry.MaxAttempts
-// times: a failure that is a transient injected I/O fault is retried with
-// capped exponential backoff (deterministic jitter, seeded by the Monte
-// Carlo seed so chaos schedules replay identically); everything else —
-// hard faults, cancellation, plan errors — surfaces immediately.
-func (p *Prepared) runAttempts(ex exec, spec Spec) (*Result, int64, error) {
-	attempts := 1
-	if spec.Retry.Enabled() {
-		attempts = spec.Retry.MaxAttempts
-	}
-	var retries int64
-	for attempt := 1; ; attempt++ {
-		res, err := p.runRecovered(ex, spec)
-		if err == nil {
-			return res, retries, nil
-		}
-		if attempt >= attempts || !fault.IsTransient(err) || ex.ctx.Err() != nil {
-			return nil, retries, err
-		}
-		retries++
-		time.Sleep(spec.Retry.Backoff(spec.MC.Seed, attempt))
-	}
-}
-
-// runRecovered runs one attempt with a panic boundary: an operator or tier
-// panic on the run's own goroutine becomes a typed *fault.PanicError (the
-// worker-pool boundary in internal/pool does the same for pooled tasks),
-// so a chaos-injected panic fails one query, not the process.
+// runRecovered runs the prepared plan with a panic boundary: an operator or
+// tier panic on the run's own goroutine becomes a typed *fault.PanicError
+// (the worker-pool boundary in internal/pool does the same for pooled
+// tasks), so a chaos-injected panic fails one query, not the process.
 func (p *Prepared) runRecovered(ex exec, spec Spec) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -188,8 +188,8 @@ func (s *Schema) String() string {
 // Tuple is one row: a flat slice of values aligned with a schema.
 type Tuple []Value
 
-// Clone copies a tuple; operators that buffer tuples across Next calls must
-// clone because upstream operators reuse slot storage.
+// Clone copies a tuple; operators that buffer tuples across NextBatch calls
+// must clone because upstream operators reuse slot storage.
 func (t Tuple) Clone() Tuple {
 	c := make(Tuple, len(t))
 	copy(c, t)

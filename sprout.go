@@ -475,27 +475,8 @@ func WithDeadlineWatermark(margin time.Duration) RunOption {
 	}
 }
 
-// WithRetryPolicy retries a query whose failure is a transient I/O fault
-// (as classified by the storage fault plane) up to maxAttempts total
-// attempts, sleeping between attempts with capped exponential backoff —
-// base·2^(attempt-1) up to max — plus deterministic jitter.
-// Result.Stats.Retries counts the re-runs. maxAttempts must be ≥ 1 (1
-// disables retrying); base and max must be positive with base ≤ max.
-func WithRetryPolicy(maxAttempts int, base, max time.Duration) RunOption {
-	return func(s *plan.Spec) error {
-		if maxAttempts < 1 {
-			return fmt.Errorf("sprout: WithRetryPolicy: maxAttempts %d must be ≥ 1", maxAttempts)
-		}
-		if base <= 0 || max <= 0 || base > max {
-			return fmt.Errorf("sprout: WithRetryPolicy: backoff bounds %v..%v must be positive and ordered", base, max)
-		}
-		s.Retry = fault.Retry{MaxAttempts: maxAttempts, Base: base, Max: max}
-		return nil
-	}
-}
-
 // WithRowExecution disables the vectorized (columnar) execution tier,
-// running scans, filters, projections and joins tuple-at-a-time through the
+// running scans, filters, projections and joins as row batches through the
 // row engine. Results are bit-identical either way — the row path is the
 // escape hatch for benchmark baselines and differential tests, not a
 // correctness knob.
